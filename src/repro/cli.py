@@ -17,7 +17,7 @@ sub-commands for the experiment harnesses, the analysis tools, the chaos
     python -m repro chaos --scenario replication-oom --seed 7 --json
     python -m repro fleet campaign --seeds 0-7 --intensities 0.5,1.0,2.0
     python -m repro fleet sweep --workloads gups,btree --seeds 1234
-    python -m repro fleet bench --accesses 6000 --no-pool
+    python -m repro fleet bench --accesses 6000 --workers 0
     python -m repro lint --format json
     python -m repro lint --whole-program --jobs 4 --changed
     python -m repro lint --explain
@@ -28,12 +28,12 @@ sub-commands for the experiment harnesses, the analysis tools, the chaos
 ``trace`` wraps any of the simulation sub-commands (``numactl``,
 ``scenario``, ``dump``, ``chaos``, ``fleet``) in a :mod:`repro.trace`
 session and exports the timeline — see docs/observability.md. ``fleet``
-shards a whole grid of cells across supervised worker processes (a
-persistent warm pool by default; ``--no-pool`` forks per attempt) with a
-crash-safe result cache — see docs/fleet.md. ``perf`` benchmarks the
-scalar-vs-vector interpreter tiers and writes ``BENCH_engine.json``;
-``perf --fleet`` benchmarks pooled-vs-per-attempt fleet dispatch and
-writes ``BENCH_fleet.json`` — see docs/performance.md.
+shards a whole grid of cells across a supervised warm-worker pool
+(``--workers 0`` runs inline) with a crash-safe result cache — see
+docs/fleet.md. ``perf`` benchmarks the scalar-vs-vector interpreter
+tiers and writes ``BENCH_engine.json``; ``perf --fleet`` benchmarks the
+pool's dispatch throughput, checks its outcomes against inline dispatch
+and writes ``BENCH_fleet.json`` — see docs/performance.md.
 """
 
 from __future__ import annotations
@@ -162,12 +162,8 @@ def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=2,
-        help="supervised worker processes; 0 runs jobs inline (default: 2)",
-    )
-    parser.add_argument(
-        "--pool", action=argparse.BooleanOptionalAction, default=True,
-        help="dispatch through the persistent warm-worker pool (default); "
-        "--no-pool forks a fresh process per attempt instead",
+        help="supervised warm-pool worker processes; 0 runs jobs inline "
+        "(default: 2)",
     )
     parser.add_argument(
         "--timeout", type=float, default=60.0,
@@ -300,20 +296,21 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
         help="exit non-zero if engines disagree on metrics, or the vector "
         "tier is slower than scalar on the GUPS gate scenario or the "
         "escape-heavy gate scenarios (redis-faults, memcached-traced); "
-        "with --fleet: if pooled dispatch is < 1.5x per-attempt or the "
-        "two modes' outcomes differ",
+        "with --fleet: if pooled throughput or dispatch-overhead p99 misses "
+        "its committed bound, pooled outcomes differ from inline dispatch, "
+        "or the real crash/hang probes are not quarantined",
     )
     parser.add_argument(
         "--json", action="store_true",
         help="print the full report (repro-bench-engine/2, or "
-        "repro-bench-fleet/1 with --fleet) to stdout instead of the "
+        "repro-bench-fleet/2 with --fleet) to stdout instead of the "
         "summary table",
     )
     parser.add_argument(
         "--fleet", action="store_true",
-        help="benchmark fleet dispatch throughput (pooled vs per-attempt "
-        "workers over a many-small-jobs campaign) instead of the engine "
-        "tiers; writes BENCH_fleet.json",
+        help="benchmark warm-pool fleet dispatch throughput over a "
+        "many-small-jobs campaign, checked against inline dispatch, instead "
+        "of the engine tiers; writes BENCH_fleet.json",
     )
     parser.add_argument(
         "--fleet-jobs", type=int, default=240,
@@ -321,7 +318,7 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fleet-workers", type=int, default=4,
-        help="--fleet: worker processes per mode (default: 4)",
+        help="--fleet: pool worker processes (default: 4)",
     )
 
 
@@ -562,16 +559,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             plan.worker_crash(hang=True, every=args.inject_hang)
     config = FleetConfig(
         workers=args.workers,
-        pool=args.pool,
         timeout=args.timeout,
         max_attempts=args.max_attempts,
         trace_dir=args.trace_dir,
         fault_plan=plan,
     )
     fleet = Fleet(config, ResultCache(args.cache_dir))
-    mode_label = (
-        "inline" if args.workers == 0 else ("pooled" if args.pool else "per-attempt")
-    )
+    mode_label = "inline" if args.workers == 0 else "pooled"
     print(f"fleet {args.mode}: {len(specs)} cell(s), workers={args.workers} "
           f"({mode_label}), cache={args.cache_dir}", file=sys.stderr)
     report = fleet.run(specs)
@@ -778,10 +772,12 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     escape-heavy redis-faults / memcached-traced scenarios.
 
     ``--fleet`` benchmarks the *fleet* instead (:mod:`repro.fleet.bench`):
-    pooled vs per-attempt dispatch throughput over a many-small-jobs
-    campaign plus a chaos-hardened equivalence campaign, written to
-    ``BENCH_fleet.json`` (``repro-bench-fleet/1``); ``--check`` then
-    gates pooled ≥ 1.5x per-attempt with identical outcomes.
+    warm-pool dispatch throughput over a many-small-jobs campaign plus a
+    chaos-hardened campaign, each checked against an inline run, written
+    to ``BENCH_fleet.json`` (``repro-bench-fleet/2``); ``--check`` then
+    gates pooled throughput and p99 dispatch overhead against committed
+    bounds, outcomes equal to inline, and the real crash/hang probes
+    quarantined.
     """
     import json
 
@@ -827,9 +823,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf_fleet(args: argparse.Namespace) -> int:
-    """``repro perf --fleet``: pooled vs per-attempt dispatch throughput
-    (jobs/s, per-job dispatch-overhead p50/p99) plus the chaos-hardened
-    mode-equivalence campaign; writes ``BENCH_fleet.json``."""
+    """``repro perf --fleet``: warm-pool dispatch throughput (jobs/s,
+    per-job dispatch-overhead p50/p99) over a clean and a chaos-hardened
+    campaign, each checked against inline dispatch; writes
+    ``BENCH_fleet.json``."""
     import json
 
     from repro.fleet.bench import check_fleet_report, run_fleet_bench
@@ -844,19 +841,22 @@ def _cmd_perf_fleet(args: argparse.Namespace) -> int:
             data = report[section]
             print(f"{section:>10}: {data['jobs']} job(s), "
                   f"workers={report['workers']}")
-            for mode in ("per-attempt", "pooled"):
-                stats = data[mode]
-                overhead = stats["dispatch_overhead"]
-                print(
-                    f"{'':>10}  {mode:>11}: {stats['jobs_per_second']:>8,.0f} jobs/s"
-                    f"  overhead p50/p99 (us) "
-                    f"{overhead['p50_us']:,.0f}/{overhead['p99_us']:,.0f}"
-                    f"  recycles {stats['worker_recycles']}"
-                )
+            stats = data["pooled"]
+            overhead = stats["dispatch_overhead"]
             print(
-                f"{'':>10}  speedup {data['speedup']:.2f}x, outcomes "
-                + ("identical" if data["outcomes_identical"] else "DIFFER")
+                f"{'':>10}  pooled: {stats['jobs_per_second']:>8,.0f} jobs/s"
+                f"  overhead p50/p99 (us) "
+                f"{overhead['p50_us']:,.0f}/{overhead['p99_us']:,.0f}"
+                f"  recycles {stats['worker_recycles']}"
             )
+            reference = data["inline_reference"]
+            verdict = "identical" if reference["outcomes_identical"] else "DIFFER"
+            print(f"{'':>10}  vs inline on {reference['cells']} cell(s): "
+                  f"outcomes {verdict}")
+            if reference["probes"]:
+                quarantined = reference["probes_quarantined"]
+                print(f"{'':>10}  real crash/hang probes: "
+                      + ("quarantined" if quarantined else "NOT quarantined"))
     write_report(report, out)
     if not args.json:
         print(f"report written to {out}")

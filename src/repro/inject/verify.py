@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.mitosis.ring import ring_members
+from repro.mitosis.ring import primary_of, ring_members
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTableTree
 from repro.paging.pte import PTE_AD_BITS, pte_huge, pte_pfn, pte_present
@@ -101,7 +101,7 @@ def verify_tree(tree: PageTableTree) -> VerifyReport:
     report = VerifyReport()
     snapshot = tree.ops.stats.snapshot()
     try:
-        for primary in tree.iter_tables():
+        for primary in _ring_primaries(tree):
             _verify_ring(tree, primary, report)
     finally:
         # Side-effect freedom: undo the counter noise of our reads.
@@ -127,7 +127,7 @@ def verify_kernel(kernel, check_masks: bool = True) -> VerifyReport:
         mask = process.mm.replication_mask
         if not check_masks or not mask:
             continue
-        for primary in tree.iter_tables():
+        for primary in _ring_primaries(tree):
             have = {member.node for member in ring_members(tree, primary)}
             missing = mask - have
             if missing:
@@ -141,6 +141,19 @@ def verify_kernel(kernel, check_masks: bool = True) -> VerifyReport:
                     )
                 )
     return report
+
+
+def _ring_primaries(tree: PageTableTree):
+    """Each ring's primary, once. ``iter_tables`` follows the entries the
+    walker follows, which in a replicated tree lead to socket-local
+    members, so a ring is reached through whichever copy its parent points
+    at — often a replica."""
+    seen: set[int] = set()
+    for page in tree.iter_tables():
+        primary = primary_of(page)
+        if primary.pfn not in seen:
+            seen.add(primary.pfn)
+            yield primary
 
 
 def _verify_ring(tree: PageTableTree, primary, report: VerifyReport) -> None:

@@ -413,7 +413,12 @@ class PageTableTree:
     # -- introspection ---------------------------------------------------------
 
     def iter_tables(self) -> Iterator[PageTablePage]:
-        """All *primary* table pages, root first (BFS)."""
+        """One table page per replica ring, root first (BFS).
+
+        Follows the root's entries, so in a replicated tree each child ring
+        is reached through the member its parent entry points at: a
+        socket-local copy, which may be a replica rather than the primary.
+        """
         queue = [self.root]
         while queue:
             page = queue.pop(0)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.fleet import (
+    OUTCOME_ERROR,
+    OUTCOME_OK,
     Fleet,
     FleetConfig,
     ProbeSpec,
@@ -11,6 +13,7 @@ from repro.fleet import (
     STATUS_COMPUTED,
     STATUS_QUARANTINED,
     job_key,
+    run_attempt_inline,
 )
 from repro.inject import FaultPlan
 
@@ -236,3 +239,27 @@ class TestReportShapes:
         assert merged.jobs == 2
         assert merged.quarantined == 1
         assert not merged.ok
+
+
+class TestInline:
+    """``run_attempt_inline``: the ``workers=0`` reference path."""
+
+    def test_inline_ok(self):
+        outcome = run_attempt_inline(ProbeSpec(value=9), attempt=1)
+        assert outcome.status == OUTCOME_OK
+        assert outcome.payload["value"] == 9
+
+    def test_inline_error(self):
+        outcome = run_attempt_inline(ProbeSpec(behavior="fail"), attempt=1)
+        assert outcome.status == OUTCOME_ERROR
+        assert "RuntimeError" in outcome.detail
+
+    def test_inline_propagates_keyboard_interrupt(self):
+        class Interrupting:
+            kind = "probe"
+
+            def run(self, attempt=1):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_attempt_inline(Interrupting(), attempt=1)

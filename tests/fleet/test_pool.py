@@ -1,5 +1,5 @@
 """The warm-worker pool: reuse, recycle-on-timeout/crash, escalation,
-mode equivalence.
+equivalence with inline dispatch.
 
 Real child processes again (the pool's whole point is their lifecycle),
 so aggressive timeouts keep these fast.
@@ -16,8 +16,9 @@ from repro.fleet import (
     ResultCache,
     WorkerPool,
 )
-from repro.fleet.supervisor import (
+from repro.fleet.pool import (
     OUTCOME_CRASH,
+    OUTCOME_ERROR,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
 )
@@ -59,12 +60,26 @@ class TestWarmReuse:
         """A job-level exception is a result, not a worker death."""
         worker = pool.workers[0]
         pid = worker.process.pid
-        worker.submit(ProbeSpec(behavior="fail"), attempt=1, timeout=20.0)
+        worker.submit(ProbeSpec(behavior="fail"), attempt=2, timeout=20.0)
         outcome = wait_for_outcome(worker)
-        assert not outcome.ok and "RuntimeError" in outcome.detail
-        worker.submit(ProbeSpec(value=3), attempt=2, timeout=20.0)
+        assert outcome.status == OUTCOME_ERROR and not outcome.ok
+        assert "RuntimeError" in outcome.detail
+        assert "attempt 2" in outcome.detail
+        worker.submit(ProbeSpec(value=3), attempt=3, timeout=20.0)
         assert wait_for_outcome(worker).ok
         assert worker.process.pid == pid and worker.recycles == 0
+
+    def test_poll_is_none_while_running(self, pool):
+        worker = pool.workers[0]
+        assert worker.poll() is None  # idle: nothing leased
+        worker.submit(
+            ProbeSpec(behavior="hang", hang_seconds=60.0),
+            attempt=1, timeout=30.0,
+        )
+        assert worker.poll() is None
+        assert worker.busy
+        pool.close()
+        assert not worker.process.is_alive()
 
 
 class TestRecycle:
@@ -72,16 +87,17 @@ class TestRecycle:
         """A stuck worker is killed at the deadline and the slot gets a
         fresh process; the next job on that slot runs clean."""
         worker = pool.workers[0]
-        stuck_pid = worker.process.pid
+        stuck = worker.process
         worker.submit(
             ProbeSpec(behavior="hang", hang_seconds=60.0),
             attempt=1, timeout=0.4,
         )
         outcome = wait_for_outcome(worker)
         assert outcome.status == OUTCOME_TIMEOUT
-        assert "killed after" in outcome.detail
+        assert "killed after 0.4s" in outcome.detail
         assert worker.recycles == 1
-        assert worker.process.pid != stuck_pid  # a fresh process
+        assert not stuck.is_alive()
+        assert worker.process.pid != stuck.pid  # a fresh process
         assert worker.process.is_alive()
 
         worker.submit(ProbeSpec(value=8), attempt=2, timeout=20.0)
@@ -94,7 +110,7 @@ class TestRecycle:
         SIGTERM: the polite kill fails, the escalation lands, the slot
         recycles."""
         worker = pool.workers[0]
-        stuck_pid = worker.process.pid
+        stuck = worker.process
         worker.submit(
             ProbeSpec(behavior="stubborn", hang_seconds=60.0),
             attempt=1, timeout=0.4,
@@ -104,8 +120,10 @@ class TestRecycle:
         elapsed = time.monotonic() - start  # lint: allow[DET001] -- ditto
         assert outcome.status == OUTCOME_TIMEOUT
         assert worker.recycles == 1
-        assert worker.process.pid != stuck_pid
-        # The SIGTERM grace had to elapse before SIGKILL.
+        assert worker.process.pid != stuck.pid
+        # SIGTERM alone cannot have done it: the probe ignores it, so the
+        # grace had to elapse before SIGKILL landed.
+        assert stuck.exitcode == -9
         assert elapsed >= 0.3
         worker.submit(ProbeSpec(value=1), attempt=2, timeout=20.0)
         assert wait_for_outcome(worker).ok
@@ -154,7 +172,7 @@ class TestShutdown:
 
 class TestDispatcherIntegration:
     def test_pooled_fleet_reuses_workers(self, tmp_path):
-        config = FleetConfig(workers=2, pool=True, timeout=20.0)
+        config = FleetConfig(workers=2, timeout=20.0)
         fleet = Fleet(config, ResultCache(tmp_path / "cache"))
         report = fleet.run([ProbeSpec(value=n) for n in range(12)])
         assert report.computed == 12 and report.ok
@@ -163,7 +181,7 @@ class TestDispatcherIntegration:
 
     def test_pool_recycle_counted_in_report(self, tmp_path):
         config = FleetConfig(
-            workers=1, pool=True, timeout=0.4, grace=0.3, max_attempts=2,
+            workers=1, timeout=0.4, grace=0.3, max_attempts=2,
             backoff_base=0.0, backoff_cap=0.0,
         )
         fleet = Fleet(config, ResultCache(tmp_path / "cache"))
@@ -177,24 +195,32 @@ class TestDispatcherIntegration:
         by_label = {o.label: o for o in report.outcomes}
         assert by_label["probe:ok/2"].ok  # ran on a recycled slot
 
-    def test_pooled_and_per_attempt_outcomes_are_identical(self, tmp_path):
+    def test_pooled_and_inline_outcomes_are_identical(self, tmp_path):
+        """Inline dispatch is the reference: on every cell that can run
+        in-process, the pool must reach the same outcomes."""
         from repro.fleet.bench import outcome_signature
 
         specs = [
             ProbeSpec(value=1),
             ProbeSpec(behavior="flaky", succeed_after=2, value=2),
             ProbeSpec(behavior="fail", value=3),
-            ProbeSpec(behavior="crash", value=4),
         ]
-        signatures = {}
-        for mode, pooled in (("pooled", True), ("per-attempt", False)):
+        crash = ProbeSpec(behavior="crash", value=4)  # would kill inline
+        reports = {}
+        for workers, run_specs in ((2, specs + [crash]), (0, specs)):
             config = FleetConfig(
-                workers=2, pool=pooled, timeout=20.0, max_attempts=2,
+                workers=workers, timeout=20.0, max_attempts=2,
                 backoff_base=0.0, backoff_cap=0.0,
             )
-            fleet = Fleet(config, ResultCache(tmp_path / mode))
-            signatures[mode] = outcome_signature(fleet.run(specs))
-        assert signatures["pooled"] == signatures["per-attempt"]
+            fleet = Fleet(config, ResultCache(tmp_path / str(workers)))
+            reports[workers] = fleet.run(run_specs)
+        pooled, inline = reports[2], reports[0]
+        assert (pooled.dispatch_mode, inline.dispatch_mode) == ("pooled", "inline")
+        assert outcome_signature(
+            pooled, exclude={crash.label()}
+        ) == outcome_signature(inline)
+        assert pooled.quarantined == 2  # fail and crash
+        assert pooled.worker_recycles == 2  # one per crash attempt
 
     def test_per_job_trace_bundles_from_reused_workers(self, tmp_path):
         """A reused worker opens and closes a fresh TraceSession per job:
@@ -203,7 +229,7 @@ class TestDispatcherIntegration:
 
         trace_dir = tmp_path / "traces"
         config = FleetConfig(
-            workers=1, pool=True, timeout=20.0, trace_dir=str(trace_dir)
+            workers=1, timeout=20.0, trace_dir=str(trace_dir)
         )
         fleet = Fleet(config, ResultCache(tmp_path / "cache"))
         report = fleet.run([ProbeSpec(value=n) for n in range(3)])
@@ -214,28 +240,3 @@ class TestDispatcherIntegration:
             events = json.loads(bundle.read_text())["traceEvents"]
             assert events, f"empty trace bundle {bundle.name}"
 
-
-class TestSupervisorEscalation:
-    def test_per_attempt_stubborn_worker_is_sigkilled(self):
-        """Satellite: the legacy supervisor's escalation against a
-        SIGTERM-ignoring worker still lands."""
-        from repro.fleet.supervisor import WorkerHandle
-
-        handle = WorkerHandle(
-            ProbeSpec(behavior="stubborn", hang_seconds=60.0),
-            attempt=1, timeout=0.4, grace=0.2,
-        )
-        start = time.monotonic()  # lint: allow[DET001] -- test harness real time
-        while True:
-            outcome = handle.poll()
-            if outcome is not None:
-                break
-            if time.monotonic() - start > 30.0:  # lint: allow[DET001] -- ditto
-                handle.stop()
-                pytest.fail("stubborn worker never settled")
-            time.sleep(0.01)
-        handle.close()
-        assert outcome.status == OUTCOME_TIMEOUT
-        assert not handle.process.is_alive()
-        # SIGTERM alone cannot have done it: the handler ignores it.
-        assert handle.process.exitcode == -9  # SIGKILL

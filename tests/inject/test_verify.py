@@ -4,10 +4,11 @@ Mitosis invariants forbid, and nothing else."""
 import pytest
 
 from repro.inject import verify_kernel, verify_tree
-from repro.mitosis.ring import ring_members
+from repro.mitosis.ring import primary_of, ring_members
 from repro.paging.pte import PTE_ACCESSED, PTE_DIRTY, make_pte, pte_flags, pte_pfn, pte_present
 from repro.units import MIB
 from repro.lint.sanitizer import simulated_hardware
+from repro.sim.scenario import setup_multisocket
 
 
 @pytest.fixture
@@ -135,3 +136,37 @@ class TestCorruptions:
         report = verify_kernel(kernel)
         assert any(v.kind == "mask-coverage" for v in report.violations)
         assert verify_kernel(kernel, check_masks=False).ok
+
+
+class TestMultiSocketReplication:
+    """A 4-socket F-A+M tree: upper-level entries point at socket-local
+    members, so ``iter_tables`` reaches many rings through a replica. The
+    verifier must anchor each ring at its primary and check it once."""
+
+    @pytest.fixture
+    def setup(self):
+        return setup_multisocket(
+            "xsbench", "F-A+M", footprint=4 * MIB, n_sockets=4, seed=11
+        )
+
+    def test_rings_reached_through_replicas_verify_clean(self, setup):
+        tree = setup.process.mm.tree
+        reached = list(tree.iter_tables())
+        assert any(page.is_replica for page in reached)
+        report = verify_kernel(setup.kernel)
+        assert report.ok, report.render()
+        assert report.rings_checked == len({primary_of(p).pfn for p in reached})
+
+    def test_corrupted_replica_pte_still_fails(self, setup):
+        tree = setup.process.mm.tree
+        leaf = next(
+            page for page in tree.iter_tables()
+            if page.level == 1 and page.is_replica and page.valid_count
+        )
+        index, entry = _first_present(leaf)
+        with simulated_hardware():
+            leaf.entries[index] = make_pte(pte_pfn(entry) + 1, pte_flags(entry))
+        report = verify_kernel(setup.kernel)
+        kinds = {v.kind for v in report.violations}
+        assert kinds == {"leaf-mismatch"}
+        assert all(v.pfn == primary_of(leaf).pfn for v in report.violations)
