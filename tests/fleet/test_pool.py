@@ -150,6 +150,27 @@ class TestRecycle:
         assert worker.recycles == 1
 
 
+class TestSupervisorEscalation:
+    def test_per_attempt_stubborn_worker_is_sigkilled(self, pool):
+        """A retried stubborn job meets the escalation on every attempt:
+        the recycled slot's fresh process is SIGKILLed just like the
+        first."""
+        worker = pool.workers[0]
+        for attempt in (1, 2):
+            stuck = worker.process
+            worker.submit(
+                ProbeSpec(behavior="stubborn", hang_seconds=60.0),
+                attempt=attempt, timeout=0.4,
+            )
+            outcome = wait_for_outcome(worker)
+            assert outcome.status == OUTCOME_TIMEOUT
+            assert not stuck.is_alive()
+            # SIGTERM alone cannot have done it: the probe ignores it.
+            assert stuck.exitcode == -9  # SIGKILL
+            assert worker.recycles == attempt
+            assert worker.process.pid != stuck.pid
+
+
 class TestShutdown:
     def test_close_reaps_every_worker(self):
         pool = WorkerPool(size=2, grace=0.3)

@@ -16,6 +16,7 @@ from repro.lint import lint_paths
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 POOL_SOURCE = SRC / "fleet" / "pool.py"
+DISPATCHER_SOURCE = SRC / "fleet" / "dispatcher.py"
 
 
 def _findings(path, rule):
@@ -94,6 +95,40 @@ class TestRealCodeRegression:
         assert "_pool_worker_main" in found[0].message
         assert "`conn`" in found[0].message
         assert "still open" in found[0].message
+
+    def test_pristine_supervisor_module_is_clean(self, tmp_path):
+        """The supervision loop (dispatcher) and the workers it supervises
+        (pool), linted as one program: clean across the module seam."""
+        for source in (DISPATCHER_SOURCE, POOL_SOURCE):
+            (tmp_path / source.name).write_text(source.read_text())
+        result = lint_paths(
+            [tmp_path / "dispatcher.py", tmp_path / "pool.py"],
+            whole_program=True,
+        )
+        concurrency = [
+            f
+            for f in result.findings
+            if f.rule in {"FORK001", "FORK002", "SIG001", "PIPE001", "PIPE002"}
+        ]
+        assert concurrency == []
+
+    def test_removing_worker_entry_close_is_caught(self, tmp_path):
+        """The worker entry's close deletion is still caught — exactly
+        once — when the dispatcher is linted alongside the pool."""
+        source = POOL_SOURCE.read_text()
+        target = "    try:\n        conn.close()"
+        assert target in source  # _pool_worker_main's exit path
+        (tmp_path / "pool.py").write_text(
+            source.replace(target, "    try:\n        pass")
+        )
+        (tmp_path / "dispatcher.py").write_text(DISPATCHER_SOURCE.read_text())
+        result = lint_paths(
+            [tmp_path / "dispatcher.py", tmp_path / "pool.py"],
+            whole_program=True,
+        )
+        found = [f for f in result.findings if f.rule == "PIPE001"]
+        assert len(found) == 1
+        assert "_pool_worker_main" in found[0].message
 
 
 class TestAdjudication:
