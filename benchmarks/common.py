@@ -20,6 +20,10 @@ from repro.units import MIB
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
+#: Host wall-clock measurements (``perf/``) change on every run and every
+#: machine, so they land in this gitignored directory, not ``results/``.
+HOST_RESULTS_DIR = Path(__file__).resolve().parent / ".host-results"
+
 #: Accesses per simulated thread at scale 1.
 BASE_ACCESSES = 8_000
 SCALE = max(1, int(os.environ.get("REPRO_BENCH_SCALE", "1")))
@@ -74,15 +78,15 @@ def engine(accesses: int = BASE_ACCESSES, **kwargs) -> EngineConfig:
     return EngineConfig(accesses_per_thread=accesses * SCALE, **kwargs)
 
 
-def write_result(name: str, text: str) -> Path:
-    """Persist a rendered table/figure under benchmarks/results/."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+def write_result(name: str, text: str, directory: Path = RESULTS_DIR) -> Path:
+    """Persist a rendered table/figure under ``directory``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.txt"
     path.write_text(text + "\n")
     return path
 
 
-def emit(name: str, text: str) -> None:
+def emit(name: str, text: str, directory: Path = RESULTS_DIR) -> None:
     """Write the rendering to disk and echo it (visible with ``pytest -s``)."""
-    path = write_result(name, text)
+    path = write_result(name, text, directory)
     print(f"\n[{name}] written to {path}\n{text}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from common import BASE_ACCESSES, SCALE, emit
+from common import BASE_ACCESSES, HOST_RESULTS_DIR, SCALE, emit
 
 from repro.sim.bench import GATE_SCENARIO, check_report, run_bench
 
@@ -28,8 +28,12 @@ class TestEngineThroughput:
                 f"  speedup {result['speedup']:.2f}x"
                 f"  metrics_equal={result['metrics_equal']}"
             )
-        emit("engine_throughput", "\n".join(lines))
-        emit("engine_throughput_report", json.dumps(report, indent=2))
+        emit("engine_throughput", "\n".join(lines), HOST_RESULTS_DIR)
+        emit(
+            "engine_throughput_report",
+            json.dumps(report, indent=2),
+            HOST_RESULTS_DIR,
+        )
 
         for name, result in report["scenarios"].items():
             assert result["metrics_equal"], f"{name}: engines disagree on metrics"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from common import emit
+from common import HOST_RESULTS_DIR, emit
 
 from repro.sim.bench import SCENARIOS, _measure_once
 from repro.sim.engine import Simulator
@@ -88,6 +88,7 @@ class TestTracingOverhead:
             f"untraced run      {best_off * 1e3:9.2f} ms  ({walks} walks)\n"
             f"disabled-path tax {branch * 1e6:9.1f} us total "
             f"({overhead * 100:.4f}% of the run)",
+            HOST_RESULTS_DIR,
         )
         assert overhead < 0.02
 
@@ -99,6 +100,7 @@ class TestTracingOverhead:
             f"tracing off {best_off * 1e3:8.2f} ms\n"
             f"tracing on  {best_on * 1e3:8.2f} ms "
             f"({(best_on / best_off - 1) * 100:+.1f}%)",
+            HOST_RESULTS_DIR,
         )
         # The traced run does strictly more work (span assembly, level
         # dicts, ring-buffer writes); if it ever stops being slower the

@@ -214,13 +214,13 @@ def _add_lint_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--rules", default=None,
-        help="comma-separated rule subset (e.g. PVOPS001,TLBGEN001)",
+        help="comma-separated rule subset (e.g. PROV001,TLBGEN001)",
     )
     parser.add_argument(
         "--whole-program", action="store_true",
         help="also build the project call graph and run the cross-module "
         "protocol rules (TLBGEN001/TLBGEN002, SHOOT001, PROV001, SPAN001), "
-        "the interprocedural dataflow rules (DETFLOW001/DETFLOW002, "
+        "the interprocedural dataflow rules (DETFLOW001, "
         "RES001/RES002) and the concurrency rules (FORK001/FORK002, "
         "SIG001, PIPE001/PIPE002)",
     )

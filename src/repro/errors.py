@@ -63,7 +63,7 @@ class PTEWriteBypassError(ReproError):
     Raised by :class:`repro.lint.sanitizer.PTESanitizer` (debug mode) when
     a store into ``PageTablePage.entries`` does not originate inside
     ``PagingOps.apply_entry_write`` or a hardware walker — the runtime
-    twin of the ``PVOPS001`` static rule.
+    twin of the ``PROV001`` static rule.
     """
 
     def __init__(self, index: int, value: int, writer: str, message: str | None = None):

@@ -7,15 +7,15 @@ faults. Neither was defended by tooling — only by docstring convention.
 This package is that tooling, in two halves:
 
 * **static**: an AST-based analyzer (:mod:`repro.lint.core`) with named
-  per-file rules — ``PVOPS001``/``PVOPS002`` (PV-Ops bypasses),
-  ``DET001``–``DET003`` (reproducibility hazards) and ``FAULT001``
-  (unregistered fault-injection sites) — plus whole-program protocol
-  rules (``TLBGEN001``/``TLBGEN002``, ``SHOOT001``, ``PROV001``,
-  ``SPAN001``) that combine a project call graph
-  (:mod:`repro.lint.callgraph`) with per-function CFG reachability
+  per-file rules — ``PVOPS002`` (page-table pages outside the managed
+  lifecycle), ``DET001``–``DET003`` (reproducibility hazards) and
+  ``FAULT001`` (unregistered fault-injection sites) — plus whole-program
+  protocol rules (``TLBGEN001``/``TLBGEN002``, ``SHOOT001``, ``PROV001``
+  for PTE stores, ``SPAN001``) that combine a project call
+  graph (:mod:`repro.lint.callgraph`) with per-function CFG reachability
   (:mod:`repro.lint.flow`), interprocedural dataflow rules
-  (``DETFLOW001``/``DETFLOW002`` determinism taint, ``RES001``/``RES002``
-  resource lifecycles) solved by :mod:`repro.lint.dataflow` with an
+  (``DETFLOW001`` determinism taint, ``RES001``/``RES002`` resource
+  lifecycles) solved by :mod:`repro.lint.dataflow` with an
   incremental, content-hash-keyed summary cache, and concurrency /
   process-lifecycle rules (``FORK001``/``FORK002`` fork-safety,
   ``SIG001`` signal-handler safety, ``PIPE001``/``PIPE002`` pipe

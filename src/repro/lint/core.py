@@ -3,7 +3,7 @@
 The machinery here is deliberately small: a :class:`Rule` is an
 :class:`ast.NodeVisitor` with a class/function scope stack and a
 ``report()`` helper; a module-level registry maps rule names
-(``PVOPS001``, ``DET001``, ...) to rule classes; :func:`lint_source` runs
+(``PVOPS002``, ``DET001``, ...) to rule classes; :func:`lint_source` runs
 every requested rule over one parsed module and then applies per-line
 suppressions.
 
@@ -25,7 +25,7 @@ Two rule registries coexist:
 
 Suppressions are comments of the form::
 
-    page.entries[i] = v  # lint: allow[PVOPS001] -- hardware A/D write, no PV-Ops by design
+    page.entries[i] = v  # lint: allow[PROV001] -- hardware A/D write, no PV-Ops by design
 
 The justification after ``--`` is **required**: an allow-comment without
 one does not suppress anything and is itself reported as ``LINT000``.  A

@@ -9,7 +9,7 @@ CFGs of :mod:`repro.lint.flow` and the call graph of
 :mod:`repro.lint.callgraph`, with per-function summaries computed
 bottom-up over the SCCs of the call graph.
 
-Four rules ride on it:
+Three rules ride on it:
 
 ``DETFLOW001`` — a *nondeterministic value* (wall clock, OS entropy,
 ``os.getpid()``, ``id()``, an unseeded RNG) reaches a *determinism
@@ -17,11 +17,6 @@ sink*: a function marked ``# dataflow: sink[determinism]`` (the fleet's
 ``job_key``, report ``to_dict`` payloads with replay contracts, the
 trace ring's ``_record``). Findings anchor at the **source** — the line
 that produced the nondeterminism — because that is where the fix goes.
-
-``DETFLOW002`` — an *order-tainted value* (anything folded out of
-iteration over a ``set``/``frozenset`` expression, or ``list(set(...))``)
-reaches a determinism sink. ``sorted(...)`` kills order taint; nothing
-else does.
 
 ``RES001`` — an acquired handle (``multiprocessing.Pipe`` ends, a
 started ``Process``, a bare ``open()`` file) has a CFG path — raise
@@ -38,6 +33,11 @@ reach ``os.replace``/``.rename``/``.unlink`` on every **normal** path.
 Exception paths are excused: the fleet cache's documented stale-tmp
 sweep (``ResultCache.put``) reclaims those, and RES002 verifies exactly
 that pairing of disciplines.
+
+Set-iteration *order* is not tracked here: every place where it could
+enter a value — a ``for``/``async for``, a list/dict/generator comprehension,
+``list``/``tuple``/``iter``/``enumerate`` or ``str.join`` over a set
+expression — is a syntactic site that the per-file ``DET002`` flags.
 
 Sanctioned wrappers are declared in source, next to the code they bless,
 with the marker grammar of :mod:`repro.lint.callgraph`::
@@ -84,11 +84,11 @@ from repro.lint.core import (
 )
 from repro.lint.flow import Cfg, build_cfg, executed_exprs, iter_statements
 from repro.lint.parallel import fork_map
-from repro.lint.rules_determinism import _BANNED_CALLS, _is_unordered_expr
+from repro.lint.rules_determinism import _BANNED_CALLS
 
 #: Cache entry schema — part of every entry and of the ABI digest, so an
 #: engine change invalidates every cached summary at once.
-IR_SCHEMA = "repro-lint-dataflow/1"
+IR_SCHEMA = "repro-lint-dataflow/2"
 
 #: Environment override for the summary-cache directory.
 CACHE_ENV = "REPRO_LINT_CACHE_DIR"
@@ -115,14 +115,11 @@ _TAINT_STOPPERS = frozenset(
     {"len", "bool", "isinstance", "issubclass", "range", "type", "repr", "callable"}
 )
 
-#: Builtins that re-establish a deterministic order (kill order taint).
-_ORDER_KILLERS = frozenset({"sorted"})
+#: Builtins whose result carries exactly their arguments' taint.
+_TAINT_PASSERS = frozenset({"sorted", "set", "frozenset"})
 
-#: Calls over an unordered operand whose result leaks iteration order.
-_ORDER_LEAKERS = frozenset({"list", "tuple", "iter", "enumerate"})
-
-#: Method names that mutate their receiver in place (order-taint carriers
-#: inside a ``for`` over a set, and container-escape sinks for handles).
+#: Method names that mutate their receiver in place (taint carriers, and
+#: container-escape sinks for handles).
 _MUTATORS = frozenset(
     {"append", "add", "extend", "insert", "update", "setdefault", "appendleft"}
 )
@@ -234,7 +231,6 @@ class _FunctionExtractor:
         self.cfg = build_cfg(fn.node)
         self.call_sites = {id(site.call): site for site in fn.calls}
         self.edges: dict[str, set[str]] = {}
-        self.kills: set[str] = set()
         self.calls: list[dict] = []
         self.sources: list[dict] = []
         self.returns: list[dict] = []
@@ -342,9 +338,6 @@ class _FunctionExtractor:
             deps: set[str] = set()
             for child in ast.iter_child_nodes(expr):
                 deps |= self._expr_deps(child)
-            if any(_is_unordered_expr(gen.iter) for gen in expr.generators):
-                if not isinstance(expr, (ast.SetComp,)):
-                    deps.add(self._order_source(expr))
             return deps
         if isinstance(expr, ast.comprehension):
             return self._expr_deps(expr.iter) | {
@@ -368,19 +361,6 @@ class _FunctionExtractor:
                 return f"a:{base[1]}.{expr.attr}"
         return None
 
-    def _order_source(self, anchor: ast.AST) -> str:
-        node = self._fresh("s")
-        line = getattr(anchor, "lineno", self.fn.lineno)
-        self.sources.append(
-            {
-                "node": node,
-                "kind": "order",
-                "line": line,
-                "desc": "iteration over an unordered set expression",
-            }
-        )
-        return node
-
     def _call_deps(self, call: ast.Call) -> set[str]:
         cached = self._call_nodes.get(id(call))
         if cached is not None:
@@ -403,23 +383,8 @@ class _FunctionExtractor:
         if isinstance(func, ast.Name):
             if func.id in _TAINT_STOPPERS:
                 return set()
-            if func.id in _ORDER_KILLERS or func.id in ("set", "frozenset"):
-                # sorted() re-establishes deterministic order; set() keeps
-                # nondet taint but sheds order taint — order only
-                # re-materializes when the set is iterated again.
-                node = self._fresh("k")
-                self.kills.add(node)
-                self._edge(node, all_args)
-                return {node}
-            if func.id in _ORDER_LEAKERS and call.args and _is_unordered_expr(call.args[0]):
-                return all_args | {self._order_source(call)}
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "join"
-            and call.args
-            and _is_unordered_expr(call.args[0])
-        ):
-            return all_args | self._expr_deps(func.value) | {self._order_source(call)}
+            if func.id in _TAINT_PASSERS:
+                return all_args
 
         desc = _nondet_desc(call, self.aliases)
         if desc is not None:
@@ -470,7 +435,6 @@ class _FunctionExtractor:
             "line": self.fn.lineno,
             "params": params,
             "edges": {dst: sorted(srcs) for dst, srcs in sorted(self.edges.items())},
-            "kills": sorted(self.kills),
             "calls": self.calls,
             "sources": self.sources,
             "returns": self.returns,
@@ -515,12 +479,7 @@ class _FunctionExtractor:
                     {"line": stmt.lineno, "context": self._context(stmt.lineno)}
                 )
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            deps = self._expr_deps(stmt.iter)
-            self._bind_target(stmt.target, deps)
-            if _is_unordered_expr(stmt.iter):
-                src = self._order_source(stmt.iter)
-                for name in self._loop_fold_names(stmt):
-                    self._edge(f"v:{name}", {src})
+            self._bind_target(stmt.target, self._expr_deps(stmt.iter))
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 deps = self._expr_deps(item.context_expr)
@@ -543,27 +502,6 @@ class _FunctionExtractor:
                     for arg in sub.args:
                         deps |= self._expr_deps(arg)
                     self._edge(f"v:{sub.func.value.id}", deps)
-
-    def _loop_fold_names(self, loop: ast.For | ast.AsyncFor) -> set[str]:
-        """Names an iteration-order-dependent fold accumulates into inside
-        ``loop``'s body: assignment targets, augmented assignments,
-        subscript stores, and receivers of mutating method calls."""
-        names: set[str] = set()
-        for stmt in loop.body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, (ast.Assign,)):
-                    for target in sub.targets:
-                        names |= _target_names(target)
-                elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
-                    names |= _target_names(sub.target)
-                elif (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _MUTATORS
-                    and isinstance(sub.func.value, ast.Name)
-                ):
-                    names.add(sub.func.value.id)
-        return names
 
     # -- resource records -----------------------------------------------------
 
@@ -739,21 +677,6 @@ class _FunctionExtractor:
         self.res["escapes"].append(
             {"node_ids": self._node_ids(stmt), "var": var, "how": how}
         )
-
-
-def _target_names(target: ast.AST) -> set[str]:
-    if isinstance(target, ast.Name):
-        return {target.id}
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: set[str] = set()
-        for elt in target.elts:
-            out |= _target_names(elt)
-        return out
-    if isinstance(target, ast.Starred):
-        return _target_names(target.value)
-    if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
-        return {target.value.id}
-    return set()
 
 
 def _names_in(expr: ast.AST) -> set[str]:
@@ -941,12 +864,9 @@ def abi_digest(index: ProjectIndex) -> str:
 
 # -- the interprocedural solver -----------------------------------------------
 
-# Taint tokens: ("nondet", path, line, desc) | ("order", path, line, desc)
-# | ("param", name). Param tokens are symbolic placeholders substituted
-# with caller argument taint at each call site — that substitution *is*
-# the per-function summary.
-
-_CONCRETE = ("nondet", "order")
+# Taint tokens: ("nondet", path, line, desc) | ("param", name). Param
+# tokens are symbolic placeholders substituted with caller argument taint
+# at each call site — that substitution *is* the per-function summary.
 
 
 @dataclass
@@ -977,7 +897,6 @@ class ProjectDataflow:
         self.attr_env: dict[str, set[tuple]] = {}
         self.findings: dict[str, list[Finding]] = {
             "DETFLOW001": [],
-            "DETFLOW002": [],
             "RES001": [],
             "RES002": [],
         }
@@ -1076,7 +995,6 @@ class ProjectDataflow:
                 env[f"p:{extra}"] = {("param", extra)}
         for src in ir["sources"]:
             env[src["node"]] = {(src["kind"], ir["path"], src["line"], src["desc"])}
-        kills = ir["kills"]
         for _ in range(64):
             changed = False
             for call in ir["calls"]:
@@ -1091,8 +1009,6 @@ class ProjectDataflow:
                         acc |= self.attr_env.get(src, set())
                     else:
                         acc |= env.get(src, set())
-                if dst in kills:
-                    acc = {t for t in acc if t[0] != "order"}
                 if not acc <= env.get(dst, set()):
                     env.setdefault(dst, set()).update(acc)
                     changed = True
@@ -1226,7 +1142,7 @@ class ProjectDataflow:
         # Attr writes feed the global attribute environment.
         for dst, _ in ir["edges"].items():
             if dst.startswith("a:"):
-                tokens = {t for t in env.get(dst, set()) if t[0] in _CONCRETE}
+                tokens = {t for t in env.get(dst, set()) if t[0] == "nondet"}
                 if not tokens <= self.attr_env.get(dst, set()):
                     self.attr_env.setdefault(dst, set()).update(tokens)
         # Sink-reaching params (transitive through call sites).
@@ -1299,23 +1215,21 @@ class ProjectDataflow:
     def _emit_taint(
         self, tok: tuple, sink_desc: str, at: str, seen: set[tuple]
     ) -> None:
-        kind, path, line, desc = tok
-        rule = "DETFLOW001" if kind == "nondet" else "DETFLOW002"
-        key = (rule, path, line, sink_desc)
+        _, path, line, desc = tok
+        key = (path, line, sink_desc)
         if key in seen:
             return
         seen.add(key)
-        noun = "nondeterministic value" if kind == "nondet" else "set-iteration order"
-        self.findings[rule].append(
+        self.findings["DETFLOW001"].append(
             Finding(
-                rule=rule,
+                rule="DETFLOW001",
                 path=path,
                 line=line,
                 col=0,
                 message=(
-                    f"{noun} from {desc} flows into determinism sink "
-                    f"{sink_desc} ({at}); replayed payloads and cache keys "
-                    "must be pure functions of (config, seed)"
+                    f"nondeterministic value from {desc} flows into "
+                    f"determinism sink {sink_desc} ({at}); replayed payloads "
+                    "and cache keys must be pure functions of (config, seed)"
                 ),
                 context=self._context_for(path, line),
             )
@@ -1327,7 +1241,7 @@ class ProjectDataflow:
         # Concrete taint reaching the return of a sink-marked function.
         if self._marked(qualname, "sink", "determinism"):
             for tok in env.get("ret", set()):
-                if tok[0] in _CONCRETE:
+                if tok[0] == "nondet":
                     self._emit_taint(
                         tok, f"{qualname}()", f"reaches its return", seen
                     )
@@ -1343,7 +1257,7 @@ class ProjectDataflow:
                 pmap = self._map_args(call, callee_ir, env)
                 for sp, desc in sink_params.items():
                     for tok in pmap.get(sp, set()):
-                        if tok[0] in _CONCRETE:
+                        if tok[0] == "nondet":
                             self._emit_taint(
                                 tok,
                                 desc,
@@ -1489,7 +1403,6 @@ def _describe_path(cfg: dict, path: list[int]) -> str:
 
 def _thaw_ir(ir: dict) -> dict:
     """Normalize a (possibly JSON-roundtripped) IR record in place."""
-    ir["kills"] = set(ir["kills"])
     ir["edges"] = {dst: list(srcs) for dst, srcs in ir["edges"].items()}
     return ir
 
@@ -1590,29 +1503,6 @@ class NondetReachesSinkRule(_DataflowRule):
     description = (
         "nondeterministic value (clock/entropy/pid) flows into a "
         "determinism sink (job keys, replayed payloads, the trace ring)"
-    )
-
-
-@register_whole_program_rule
-class OrderTaintReachesSinkRule(_DataflowRule):
-    """DETFLOW002: set-iteration **order** reaches a determinism sink.
-
-    Folding iteration over a ``set``/``frozenset`` expression into a
-    list, string, or accumulator bakes ``PYTHONHASHSEED``-dependent order
-    into the value; if that value then lands in a ``sink[determinism]``
-    function the replay contract breaks even though every *element* is
-    deterministic.
-
-    Sanctioned wrapper: ``sorted(...)`` at the point of iteration — it
-    kills order taint (and is what DET002 already demands syntactically;
-    this rule catches the flows DET002's single-expression window
-    cannot see). Suppress with ``# lint: allow[DETFLOW002] -- why``.
-    """
-
-    name = "DETFLOW002"
-    description = (
-        "unordered-set iteration order flows into a determinism sink; "
-        "wrap the iteration in sorted(...)"
     )
 
 

@@ -267,10 +267,13 @@ def executed_exprs(stmt: ast.AST) -> list[ast.AST]:
     return [stmt]
 
 
-def iter_statements(func: ast.FunctionDef | ast.AsyncFunctionDef):
+def iter_statements(
+    func: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef | ast.Module,
+):
     """Every statement in ``func``'s body at any depth, *excluding* the
     bodies of nested function/class definitions (which the CFG treats as
-    opaque definition statements)."""
+    opaque definition statements). A class or module body works the same
+    way."""
 
     def _walk(stmts: list[ast.stmt]):
         for stmt in stmts:

@@ -12,11 +12,14 @@ randomness must come from an explicitly seeded generator that the caller
 threads through (``random.Random(seed)``, ``np.random.default_rng(seed)``).
 
 ``DET002`` — iterating an unordered container (``set``/``frozenset``
-expressions) straight into an ordering-sensitive sink (a ``for`` loop, a
-comprehension, ``list``/``tuple``/``enumerate``/``iter``/``join``).  Set
-iteration order depends on ``PYTHONHASHSEED`` for str/tuple elements, so
-the same seed can produce a different call sequence run-to-run.  Wrap the
-container in ``sorted(...)`` at the point of iteration.
+expressions) straight into an ordering-sensitive sink (a ``for`` or
+``async for`` loop, a comprehension,
+``list``/``tuple``/``enumerate``/``iter``/``join``).  Set iteration order
+depends on ``PYTHONHASHSEED`` for str/tuple elements, so the same seed can
+produce a different call sequence run-to-run.  Wrap the container in
+``sorted(...)`` at the point of iteration.  These sinks are the only
+places set order can enter a value, so ``DET002`` is the one set-order
+rule; the dataflow layer does not track order.
 
 ``DET003`` — builtin ``hash()`` used as a value.  ``hash()`` of a str /
 bytes / anything containing one is salted per *process* (PYTHONHASHSEED
@@ -192,10 +195,12 @@ class UnorderedIterationRule(Rule):
             "iterate sorted(...) instead",
         )
 
-    def visit_For(self, node: ast.For) -> None:
+    def visit_For(self, node: ast.For | ast.AsyncFor) -> None:
         if _is_unordered_expr(node.iter):
             self._flag(node.iter, "a for-loop")
         self.generic_visit(node)
+
+    visit_AsyncFor = visit_For
 
     def _visit_comp(
         self, node: ast.ListComp | ast.SetComp | ast.DictComp | ast.GeneratorExp

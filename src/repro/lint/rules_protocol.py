@@ -23,10 +23,12 @@ The shipped invariants:
 * ``SHOOT001`` — *shootdown-round*: every IPI round opened by
   ``_begin_round`` reaches ``_complete_round`` (cycle accounting), with
   no early return between them.
-* ``PROV001`` — static twin of the runtime ``PTESanitizer``: every PTE
-  store (including through a local alias of ``.entries``) must sit
-  lexically inside ``apply_entry_write``; messages carry call-graph
-  provenance so a bypass names the syscall path that reaches it.
+* ``PROV001`` — the PV-Ops store contract (§5.2, Listing 1) and the
+  static twin of the runtime ``PTESanitizer``: every PTE store, in any
+  scope of a module and including through a local alias of
+  ``.entries``, must sit inside ``apply_entry_write``; messages carry
+  call-graph provenance so a bypass names the syscall path that
+  reaches it.
 * ``SPAN001`` — *trace-session*: ``start_tracing`` reaches
   ``stop_tracing`` on **all** paths including exceptional ones, and
   ``TraceSession.span(...)``/``tracing(...)`` context managers are
@@ -41,21 +43,17 @@ from dataclasses import dataclass
 from repro.lint.callgraph import CallSite, FunctionInfo, ProjectIndex
 from repro.lint.core import (
     Finding,
+    ParsedModule,
     WholeProgramRule,
     register_whole_program_rule,
 )
 from repro.lint.flow import (
+    _FUNC_TYPES,
     Cfg,
     build_cfg,
     executed_exprs,
     find_unprotected_path,
     iter_statements,
-)
-from repro.lint.rules_pvops import (
-    BLESSED_WRITER,
-    _entries_store_target,
-    _is_entries_attr,
-    _LIST_MUTATORS,
 )
 
 
@@ -367,9 +365,67 @@ class SpanPairingRule(ObligationRule):
         return False
 
 
+#: The one blessed writer function. A raw entries store is legal only
+#: when the innermost ``def`` around it has this name (the PV-Ops choke
+#: point).
+BLESSED_WRITER = "apply_entry_write"
+
+_LIST_MUTATORS = frozenset(
+    {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+)
+
+
+def _is_entries_attr(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "entries"
+
+
+def _is_listlike(node: ast.AST | None) -> bool:
+    """Does ``node`` syntactically build a list (a plausible PTE array)?
+
+    Distinguishes ``page.entries = [0] * 512`` (a table-page array swap,
+    in scope) from unrelated attributes that happen to be called
+    ``entries`` (e.g. a TLB's integer capacity, out of scope).
+    """
+    if isinstance(node, (ast.List, ast.ListComp)):
+        return True
+    if isinstance(node, ast.BinOp):
+        return _is_listlike(node.left) or _is_listlike(node.right)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("list", "GuardedEntries")
+    return False
+
+
+def _entries_store_target(node: ast.AST, value: ast.AST | None = None) -> ast.AST | None:
+    """The offending node when ``node`` is an assignment target that hits
+    ``X.entries`` storage: ``X.entries[...]``, or ``X.entries`` itself
+    being (re)bound to a list."""
+    if isinstance(node, ast.Subscript) and _is_entries_attr(node.value):
+        return node
+    if _is_entries_attr(node) and _is_listlike(value):
+        return node
+    if isinstance(node, (ast.Tuple, ast.List)):
+        for element in node.elts:
+            hit = _entries_store_target(element, value)
+            if hit is not None:
+                return hit
+    if isinstance(node, ast.Starred):
+        return _entries_store_target(node.value, value)
+    return None
+
+
 @register_whole_program_rule
 class PteProvenanceRule(WholeProgramRule):
-    """PROV001: static twin of PTESanitizer — PTE stores with provenance."""
+    """PROV001: PTE stores outside ``apply_entry_write``, with provenance.
+
+    Flags ``X.entries[...]`` stores, augmented stores and ``del``,
+    list-mutator calls on ``X.entries``, a rebind of ``X.entries`` to a
+    list, and stores or mutator calls through a local alias of
+    ``X.entries`` — in every scope of a module: functions, nested defs,
+    lambdas, class bodies and module level. A store is exempt when the
+    innermost enclosing ``def`` is ``apply_entry_write``. Suppress a
+    by-design store (hardware A/D bits) with
+    ``# lint: allow[PROV001] -- why``.
+    """
 
     name = "PROV001"
     description = (
@@ -379,48 +435,84 @@ class PteProvenanceRule(WholeProgramRule):
     )
 
     def run(self, index: ProjectIndex) -> list[Finding]:
+        self._index = index
+        self._indexed = {id(fn.node): fn for fn in index.functions.values()}
         findings: list[Finding] = []
-        for fn in index.functions.values():
-            if fn.name == BLESSED_WRITER:
+        for parsed in index.modules:
+            self._scan(
+                parsed, parsed.tree, f"{parsed.module}:<module>", None, None,
+                findings,
+            )
+        return findings
+
+    def _scan(
+        self,
+        parsed: ParsedModule,
+        scope: ast.Module | ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef,
+        label: str,
+        owner: FunctionInfo | None,
+        writer: str | None,
+        findings: list[Finding],
+    ) -> None:
+        """Check ``scope``'s own statements, then every def/class nested
+        in it. ``owner`` is the innermost indexed function around the
+        scope (its callers give the provenance chain); ``writer`` is the
+        innermost enclosing ``def`` name."""
+        aliases = self._entry_array_aliases(scope)
+        for stmt in iter_statements(scope):
+            if isinstance(stmt, _FUNC_TYPES + (ast.ClassDef,)):
+                child = self._indexed.get(id(stmt))
+                if child is not None:
+                    child_label = child.qualname
+                elif isinstance(scope, ast.Module):
+                    child_label = f"{parsed.module}:{stmt.name}"
+                else:
+                    sep = ".<locals>." if isinstance(scope, _FUNC_TYPES) else "."
+                    child_label = f"{label}{sep}{stmt.name}"
+                self._scan(
+                    parsed,
+                    stmt,
+                    child_label,
+                    child or owner,
+                    stmt.name if isinstance(stmt, _FUNC_TYPES) else writer,
+                    findings,
+                )
                 continue
-            aliases = self._entry_array_aliases(fn)
-            for stmt in iter_statements(fn.node):
-                hit = self._store_in(stmt, aliases)
-                if hit is None:
-                    continue
-                chain = index.caller_chain(fn.qualname)
+            if writer == BLESSED_WRITER:
+                continue
+            hit = self._store_in(stmt, aliases)
+            if hit is None:
+                continue
+            if owner is None:
+                reach = "runs at import time"
+            else:
+                chain = self._index.caller_chain(owner.qualname)
                 reach = (
                     "reachable via " + " <- ".join(chain)
                     if chain
                     else "no callers found in the linted sources"
                 )
-                parsed = index.modules_by_path.get(fn.path)
-                line = getattr(stmt, "lineno", fn.lineno)
-                context = ""
-                if parsed is not None and 1 <= line <= len(parsed.source_lines):
-                    context = parsed.source_lines[line - 1].strip()
-                findings.append(
-                    Finding(
-                        rule=self.name,
-                        path=fn.path,
-                        line=line,
-                        col=getattr(stmt, "col_offset", 0),
-                        message=(
-                            f"{fn.qualname}: raw PTE store bypasses "
-                            f"apply_entry_write ({hit}); {reach}"
-                        ),
-                        context=context,
-                    )
+            line = stmt.lineno
+            findings.append(
+                Finding(
+                    rule=self.name,
+                    path=parsed.path,
+                    line=line,
+                    col=stmt.col_offset,
+                    message=(
+                        f"{label}: raw PTE store bypasses "
+                        f"apply_entry_write ({hit}); {reach}"
+                    ),
+                    context=parsed.source_lines[line - 1].strip(),
                 )
-        return findings
+            )
 
     @staticmethod
-    def _entry_array_aliases(fn: FunctionInfo) -> set[str]:
+    def _entry_array_aliases(scope: ast.AST) -> set[str]:
         """Local names bound to somebody's ``.entries`` array — stores
-        through these bypass PV-Ops just as surely (and invisibly to the
-        per-file PVOPS001)."""
+        through these bypass PV-Ops just as surely."""
         aliases: set[str] = set()
-        for stmt in iter_statements(fn.node):
+        for stmt in iter_statements(scope):
             if (
                 isinstance(stmt, ast.Assign)
                 and len(stmt.targets) == 1
@@ -447,6 +539,8 @@ class PteProvenanceRule(WholeProgramRule):
             targets, value = [stmt.target], stmt.value
         elif isinstance(stmt, ast.AnnAssign):
             targets, value = [stmt.target], stmt.value
+        elif isinstance(stmt, ast.Delete):
+            targets = list(stmt.targets)
         for target in targets:
             if _entries_store_target(target, value) is not None:
                 return "direct `.entries` store"

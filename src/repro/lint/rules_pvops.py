@@ -1,10 +1,4 @@
-"""PV-Ops contract rules.
-
-``PVOPS001`` — every physical page-table entry store must flow through
-``PagingOps.apply_entry_write`` (paper §5.2, Listing 1): it is the single
-choke point that keeps valid-entry counts correct and, under Mitosis,
-keeps replicas coherent. Any other ``*.entries[...]`` store or in-place
-mutation is a replication-coherence bypass. Reads are free.
+"""PV-Ops page-table lifecycle rule.
 
 ``PVOPS002`` — page-table *pages* have a managed lifecycle: frames come
 from the per-socket :class:`~repro.mem.pagecache.PageTablePageCache`
@@ -13,10 +7,9 @@ Constructing a :class:`~repro.paging.pagetable.PageTablePage` or tagging
 a frame ``FrameKind.PAGE_TABLE`` anywhere else escapes OOM accounting,
 fault injection and replica reclaim.
 
-Sites that bypass by *design* (the hardware walker's A/D stores, which
-real MMUs issue without telling the OS) carry inline
-``# lint: allow[PVOPS001] -- ...`` suppressions; grandfathered
-replication internals live in the committed baseline instead.
+The other half of the PV-Ops contract — every PTE *store* goes through
+``PagingOps.apply_entry_write`` — is the whole-program rule ``PROV001``
+(:mod:`repro.lint.rules_protocol`).
 """
 
 from __future__ import annotations
@@ -25,125 +18,11 @@ import ast
 
 from repro.lint.core import Rule, register_rule
 
-#: The one blessed writer function. A raw entries store is legal only
-#: lexically inside a function with this name (the PV-Ops choke point).
-BLESSED_WRITER = "apply_entry_write"
-
-#: ``module:qualname`` sites exempt from PVOPS001 without an inline
-#: comment. Kept empty on purpose: exemptions should be visible at the
-#: site (suppression) or reviewed in the baseline, not hidden here.
-PVOPS001_ALLOWLIST: frozenset[str] = frozenset()
-
 #: Functions allowed to construct table pages / tag PAGE_TABLE frames.
 TABLE_LIFECYCLE_FUNCTIONS = frozenset({"alloc_table", "release_table"})
 
 #: Modules that *are* the managed lifecycle (the page-cache itself).
 PVOPS002_MODULE_ALLOWLIST = frozenset({"repro.mem.pagecache"})
-
-_LIST_MUTATORS = frozenset(
-    {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
-)
-
-
-def _is_entries_attr(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "entries"
-
-
-def _is_listlike(node: ast.AST | None) -> bool:
-    """Does ``node`` syntactically build a list (a plausible PTE array)?
-
-    Distinguishes ``page.entries = [0] * 512`` (a table-page array swap,
-    in scope) from unrelated attributes that happen to be called
-    ``entries`` (e.g. a TLB's integer capacity, out of scope).
-    """
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return True
-    if isinstance(node, ast.BinOp):
-        return _is_listlike(node.left) or _is_listlike(node.right)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("list", "GuardedEntries")
-    return False
-
-
-def _entries_store_target(node: ast.AST, value: ast.AST | None = None) -> ast.AST | None:
-    """The offending node when ``node`` is an assignment target that hits
-    ``X.entries`` storage: ``X.entries[...]``, or ``X.entries`` itself
-    being (re)bound to a list."""
-    if isinstance(node, ast.Subscript) and _is_entries_attr(node.value):
-        return node
-    if _is_entries_attr(node) and _is_listlike(value):
-        return node
-    if isinstance(node, (ast.Tuple, ast.List)):
-        for element in node.elts:
-            hit = _entries_store_target(element, value)
-            if hit is not None:
-                return hit
-    if isinstance(node, ast.Starred):
-        return _entries_store_target(node.value, value)
-    return None
-
-
-@register_rule
-class PteWriteRule(Rule):
-    """PVOPS001: raw page-table entry stores outside the PV-Ops choke point."""
-
-    name = "PVOPS001"
-    description = (
-        "page-table entry store bypasses PV-Ops; route it through "
-        "PagingOps.apply_entry_write so every physical replica stays coherent"
-    )
-
-    def _allowed_here(self) -> bool:
-        if self.current_function == BLESSED_WRITER:
-            return True
-        return f"{self.module}:{self.qualname()}" in PVOPS001_ALLOWLIST
-
-    def _check_target(
-        self, target: ast.AST, node: ast.AST, value: ast.AST | None = None
-    ) -> None:
-        hit = _entries_store_target(target, value)
-        if hit is not None and not self._allowed_here():
-            self.report(node, self.description)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_target(target, node, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._check_target(node.target, node, node.value)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        hit = _entries_store_target(node.target, node.value)
-        if hit is not None and not self._allowed_here():
-            self.report(
-                node,
-                "in-place page-table entry mutation bypasses PV-Ops; "
-                "read, modify, then store via PagingOps.apply_entry_write",
-            )
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            self._check_target(target, node)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _LIST_MUTATORS
-            and _is_entries_attr(func.value)
-            and not self._allowed_here()
-        ):
-            self.report(
-                node,
-                f"entries.{func.attr}() mutates a page-table page in place; "
-                "tables are fixed 512-entry arrays written only through "
-                "PagingOps.apply_entry_write",
-            )
-        self.generic_visit(node)
 
 
 def _kind_is_page_table(node: ast.AST) -> bool:

@@ -1,4 +1,4 @@
-"""Runtime PTE write sanitizer — the dynamic twin of rule ``PVOPS001``.
+"""Runtime PTE write sanitizer — the dynamic twin of rule ``PROV001``.
 
 The static rule sees *syntax*; this guard sees *behaviour*. When
 installed, every :class:`~repro.paging.pagetable.PageTablePage` created
@@ -172,7 +172,7 @@ class PTESanitizer:
 
         def guarded_init(page, frame, level, primary=None):
             orig_init(page, frame, level, primary)
-            # lint: allow[PVOPS001] -- the sanitizer itself: swaps the fresh array for the guard that enforces the contract
+            # lint: allow[PROV001] -- the sanitizer itself: swaps the fresh array for the guard that enforces the contract
             page.entries = GuardedEntries(page.entries, sanitizer, frame.pfn)
 
         self._orig_init = orig_init

@@ -54,7 +54,7 @@ class PageTablePage:
     def __init__(self, frame: Frame, level: int, primary: "PageTablePage | None" = None):
         self.frame = frame
         self.level = level
-        # lint: allow[PVOPS001,PROV001] -- table birth: the entry array is created empty here, before any backend can write it
+        # lint: allow[PROV001] -- table birth: the entry array is created empty here, before any backend can write it
         self.entries: list[int] = [0] * PTES_PER_TABLE
         self.valid_count = 0
         #: ``None`` for the primary copy; for a Mitosis replica, the primary

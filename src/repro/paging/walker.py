@@ -112,7 +112,7 @@ class HardwareWalker:
                 if is_write and is_leaf:
                     new_entry |= PTE_DIRTY
                 if new_entry != entry:
-                    # lint: allow[PVOPS001,PROV001] -- hardware A/D store: the MMU writes the walked replica directly, outside PV-Ops (§5.4)
+                    # lint: allow[PROV001] -- hardware A/D store: the MMU writes the walked replica directly, outside PV-Ops (§5.4)
                     page.entries[index] = new_entry
                     entry = new_entry
             if is_leaf:
@@ -178,7 +178,7 @@ class HardwareWalker:
             if is_write and is_leaf:
                 new_entry |= PTE_DIRTY
             if new_entry != entry:
-                # lint: allow[PVOPS001,PROV001] -- hardware A/D store: the MMU writes the walked replica directly, outside PV-Ops (§5.4)
+                # lint: allow[PROV001] -- hardware A/D store: the MMU writes the walked replica directly, outside PV-Ops (§5.4)
                 page.entries[index] = new_entry
                 entry = new_entry
             if is_leaf:

@@ -170,6 +170,14 @@ class TestStaticAnalysisPage:
         )
 
 
+class TestLintFixturesReadme:
+    def test_every_fixture_has_exactly_one_row(self, repo_root):
+        fixtures = repo_root / "tests" / "lint" / "fixtures"
+        readme = (fixtures / "README.md").read_text()
+        rows = re.findall(r"^\| `([^`]+\.py)` \|", readme, re.MULTILINE)
+        assert sorted(rows) == sorted(p.name for p in fixtures.glob("*.py"))
+
+
 class TestFleetPage:
     def test_exists_and_covers_the_contract(self, repo_root):
         page = (repo_root / "docs" / "fleet.md").read_text()

@@ -1,10 +1,10 @@
 """Seeded PROV001 violation: a raw PTE store through an `.entries` alias.
 
-The per-file PVOPS001 only sees stores whose target is literally
-``<x>.entries[...]``; binding the array to a local first hides the store
-from it. The whole-program PROV001 tracks the alias and still flags it.
-``apply_entry_write`` is the blessed writer — stores inside it are the
-PV-Ops choke point itself and must not be reported.
+Binding the array to a local first hides the store from a check that
+only looks for targets literally spelled ``<x>.entries[...]``; PROV001
+tracks the alias and still flags it. ``apply_entry_write`` is the
+blessed writer — stores inside it are the PV-Ops choke point itself and
+must not be reported.
 """
 
 

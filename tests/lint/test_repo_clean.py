@@ -19,7 +19,6 @@ PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
 def test_all_expected_rules_registered():
     assert set(ALL_RULES) == {
-        "PVOPS001",
         "PVOPS002",
         "DET001",
         "DET002",
@@ -31,7 +30,6 @@ def test_all_expected_rules_registered():
 def test_all_expected_whole_program_rules_registered():
     assert set(WHOLE_PROGRAM_RULES) == {
         "DETFLOW001",
-        "DETFLOW002",
         "FORK001",
         "FORK002",
         "PIPE001",
@@ -83,12 +81,14 @@ def test_baseline_is_not_stale():
 def test_introducing_a_violation_is_caught(tmp_path):
     """End-to-end: a fixture violation for *each* rule fails a lint run."""
     fixtures = {
-        "PVOPS001": "page.entries[0] = 0\n",
         "PVOPS002": "page = PageTablePage(frame=frame, level=1)\n",
         "DET001": "import random\nx = random.random()\n",
         "DET002": "for n in set(nodes):\n    visit(n)\n",
+        "DET003": 'seed = hash("x")\n',
         "FAULT001": "plan.fire('not.a.real.site')\n",
     }
+    # A rule added or deleted without a fixture here fails loudly.
+    assert set(fixtures) == set(ALL_RULES)
     for rule, source in fixtures.items():
         bad = tmp_path / f"{rule.lower()}_violation.py"
         bad.write_text(source)

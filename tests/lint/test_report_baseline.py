@@ -24,7 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 FIXTURE = (
     "import random\n"
-    "page.entries[0] = random.random()\n"
+    "seed, page = random.random(), PageTablePage(frame, 1)\n"
 )
 
 
@@ -36,12 +36,13 @@ class TestTextReport:
     def test_golden_output(self):
         text = render_text(_result())
         assert text == (
-            "src/repro/fixture.py:2:18: DET001 random.random() uses global, "
+            "src/repro/fixture.py:2:13: DET001 random.random() uses global, "
             "unseeded state; use an explicitly seeded generator owned by the caller\n"
-            "src/repro/fixture.py:2:0: PVOPS001 page-table entry store bypasses "
-            "PV-Ops; route it through PagingOps.apply_entry_write so every "
-            "physical replica stays coherent\n"
-            "2 finding(s) in 1 file(s) [DET001: 1, PVOPS001: 1]"
+            "src/repro/fixture.py:2:30: PVOPS002 PageTablePage constructed "
+            "outside alloc_table; table pages must be created by a PagingOps "
+            "backend (or the replication machinery) from PageTablePageCache "
+            "frames\n"
+            "2 finding(s) in 1 file(s) [DET001: 1, PVOPS002: 1]"
         )
 
     def test_baselined_count_shown(self):
@@ -58,12 +59,14 @@ class TestJsonReport:
         assert document["files_checked"] == 1
         assert document["summary"] == {"total": 2, "new": 2, "baselined": 0}
         rules = [f["rule"] for f in document["findings"]]
-        assert rules == ["DET001", "PVOPS001"]
+        assert rules == ["DET001", "PVOPS002"]
         first = document["findings"][0]
         assert first["path"] == "src/repro/fixture.py"
         assert first["line"] == 2
         assert first["new"] is True
-        assert first["context"] == "page.entries[0] = random.random()"
+        assert first["context"] == (
+            "seed, page = random.random(), PageTablePage(frame, 1)"
+        )
 
     def test_baselined_findings_marked_not_new(self):
         result = _result()
@@ -82,7 +85,7 @@ class TestSarifReport:
         driver = run["tool"]["driver"]
         assert driver["name"] == "repro.lint"
         rule_ids = [r["id"] for r in driver["rules"]]
-        assert "DET001" in rule_ids and "PVOPS001" in rule_ids
+        assert "DET001" in rule_ids and "PVOPS002" in rule_ids
         assert len(run["results"]) == 2
         first = run["results"][0]
         assert first["ruleId"] == "DET001"
@@ -90,7 +93,7 @@ class TestSarifReport:
         location = first["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "src/repro/fixture.py"
         assert location["region"]["startLine"] == 2
-        assert location["region"]["startColumn"] == 19  # SARIF is 1-based
+        assert location["region"]["startColumn"] == 14  # SARIF is 1-based
         assert "repro/v1" in first["partialFingerprints"]
 
     def test_baseline_state_marks_new_vs_unchanged(self):
@@ -123,12 +126,12 @@ class TestBaseline:
         path = tmp_path / "baseline.json"
         write_baseline(result.findings[:1], path)
         new = filter_baseline(result.findings, load_baseline(path))
-        assert [f.rule for f in new] == ["PVOPS001"]
+        assert [f.rule for f in new] == ["PVOPS002"]
 
     def test_count_respected(self, tmp_path):
         # One baselined occurrence does not absolve a second identical one.
         doubled = lint_source(
-            "page.entries[0] = a\npage.entries[0] = a\n",
+            "frame.kind = FrameKind.PAGE_TABLE\n" * 2,
             path="src/repro/fixture.py",
             module="repro.fixture",
         )
@@ -216,7 +219,7 @@ class TestCliStrictMode:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         for rule in (
             "TLBGEN001", "TLBGEN002", "SHOOT001", "PROV001", "SPAN001",
-            "DETFLOW001", "DETFLOW002", "RES001", "RES002",
+            "DETFLOW001", "RES001", "RES002",
         ):
             assert rule in proc.stdout
 

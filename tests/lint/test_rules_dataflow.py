@@ -35,13 +35,6 @@ class TestFixturesFire:
             "cell every run"
         )
 
-    def test_detflow002_set_order_reaches_the_payload(self):
-        found = _findings(
-            FIXTURES / "detflow_set_iteration_metrics.py", "DETFLOW002"
-        )
-        assert len(found) == 1  # sample_ok must stay clean
-        assert "record_sample" in found[0].message
-
     def test_res001_pipe_end_leaks_on_the_raise_edge(self):
         found = _findings(FIXTURES / "res_leaked_pipe.py", "RES001")
         assert len(found) == 1  # connect_ok must stay clean
@@ -123,6 +116,6 @@ class TestAnnotatedRepoIsClean:
         dataflow = [
             f
             for f in result.findings
-            if f.rule in ("DETFLOW001", "DETFLOW002", "RES001", "RES002")
+            if f.rule in ("DETFLOW001", "RES001", "RES002")
         ]
         assert dataflow == []

@@ -13,6 +13,7 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import lint_paths
+from repro.lint.core import WHOLE_PROGRAM_RULES
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 TLB_SOURCE = (
@@ -62,25 +63,11 @@ class TestFixturesFire:
 
     def test_fixtures_trip_nothing_else(self):
         """The seeded bugs are surgical: per-file rules see nothing, and
-        every whole-program finding is one of the protocol or dataflow
-        rules each fixture deliberately seeds."""
+        every whole-program finding is one of the rules a fixture
+        deliberately seeds — one fixture per whole-program rule, so a
+        rule added or deleted without its fixture fails here."""
         result = lint_paths([FIXTURES], whole_program=True)
-        assert {f.rule for f in result.findings} == {
-            "DETFLOW001",
-            "DETFLOW002",
-            "FORK001",
-            "FORK002",
-            "PIPE001",
-            "PIPE002",
-            "PROV001",
-            "RES001",
-            "RES002",
-            "SHOOT001",
-            "SIG001",
-            "SPAN001",
-            "TLBGEN001",
-            "TLBGEN002",
-        }
+        assert {f.rule for f in result.findings} == set(WHOLE_PROGRAM_RULES)
 
 
 class TestRealCodeRegression:

@@ -331,10 +331,10 @@ class TestLint:
 
     def test_violation_fails_the_run(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("page.entries[0] = 0\n")
+        bad.write_text("frame.kind = FrameKind.PAGE_TABLE\n")
         code, out, _ = run(capsys, "lint", str(bad))
         assert code == 1
-        assert "PVOPS001" in out
+        assert "PVOPS002" in out
 
     def test_json_format(self, capsys, tmp_path):
         import json
@@ -355,9 +355,9 @@ class TestLint:
     def test_rule_subset(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nx = random.random()\npage.entries[0] = 0\n")
-        code, out, _ = run(capsys, "lint", str(bad), "--rules", "PVOPS001")
+        code, out, _ = run(capsys, "lint", str(bad), "--rules", "PROV001")
         assert code == 1
-        assert "PVOPS001" in out and "DET001" not in out
+        assert "PROV001" in out and "DET001" not in out
 
     def test_unknown_rule_is_usage_error(self, capsys):
         code, _, err = run(capsys, "lint", "--rules", "NOPE999")
@@ -437,7 +437,7 @@ class TestLint:
 
     def test_write_baseline_round_trip(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("page.entries[0] = 0\n")
+        bad.write_text("frame.kind = FrameKind.PAGE_TABLE\n")
         baseline = tmp_path / "baseline.json"
         code, _, err = run(
             capsys, "lint", str(bad), "--baseline", str(baseline), "--write-baseline"
