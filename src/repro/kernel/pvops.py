@@ -50,6 +50,13 @@ class NativePagingOps(PagingOps):
         self.apply_entry_write(page, index, value)
         self.stats.pte_writes += 1
 
+    def set_ptes(
+        self, tree: PageTableTree, page: PageTablePage, writes: list[tuple[int, int]]
+    ) -> None:
+        for index, value in writes:
+            self.apply_entry_write(page, index, value)
+        self.stats.pte_writes += len(writes)
+
     def read_pte(self, tree: PageTableTree, page: PageTablePage, index: int) -> int:
         self.stats.pte_reads += 1
         return page.entries[index]

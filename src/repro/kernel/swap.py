@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.errors import InvalidMappingError, OutOfMemoryError
 from repro.inject.plan import SITE_SWAP_STALL
 from repro.kernel.process import MappedFrame, Process
-from repro.paging.pte import PTE_ACCESSED, PTE_DIRTY
+from repro.paging.pte import PTE_DIRTY
 from repro.units import PAGE_SIZE
 
 #: Cost of writing one 4 KiB page to the swap device.
@@ -125,21 +125,18 @@ class SwapManager:
         we simply never pick them).
         """
         self.stats.scans += 1
-        mm = process.mm
-        tree = mm.tree
+        tree = process.mm.tree
         idle: list[int] = []
-        for va, mapped in sorted(mm.frames.items()):
-            if mapped.huge:
+        for run in tree.leaf_runs(0, tree.geometry.va_limit):
+            if run.huge:
                 continue
-            location = tree.leaf_location(va)
-            assert location is not None
-            entry = tree.ops.read_pte(tree, location.page, location.index)
-            if entry & PTE_ACCESSED:
-                if give_second_chance:
-                    tree.ops.clear_ad_bits(tree, location.page, location.index)
+            present = run.present()
+            accessed = tree.ops.scan_accessed(tree, run.table, present, give_second_chance)
+            for index, young in zip(present, accessed):
+                if not young:
+                    idle.append(run.va_of(index))
+                elif give_second_chance:
                     self.stats.second_chances += 1
-            else:
-                idle.append(va)
         return idle
 
     def is_dirty(self, process: Process, va: int) -> bool:

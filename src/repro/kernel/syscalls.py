@@ -18,6 +18,7 @@ from repro.kernel.costs import WorkCounters, syscall_cycles
 from repro.kernel.policy import PlacementPolicy
 from repro.kernel.process import Process
 from repro.kernel.vma import PROT_DEFAULT, Vma
+from repro.paging.pagetable import LeafRun
 from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE, page_align_up
 
 
@@ -72,21 +73,10 @@ class VmSyscalls:
         before = mm.tree.ops.stats.snapshot()
         work = WorkCounters()
         if populate:
-            allow_huge = self.sysctl.thp_enabled and use_huge
-            pos = va
-            socket = process.home_socket
-            while pos < va + length:
-                result = self.fault_handler.handle(
-                    process, pos, socket, is_write=True, allow_huge=allow_huge
-                )
-                if result.did_map:
-                    work.pages_zeroed_4k += result.work.pages_zeroed_4k
-                    work.pages_zeroed_2m += result.work.pages_zeroed_2m
-                    pos += result.mapped_bytes
-                else:
-                    mapped = mm.frame_at(pos)
-                    assert mapped is not None
-                    pos = mapped.va + mapped.frame.nbytes
+            work = self.fault_handler.populate(
+                process, va, va + length, process.home_socket,
+                allow_huge=self.sysctl.thp_enabled and use_huge,
+            )
         delta = mm.tree.ops.stats.delta(before)
         return SyscallResult(value=va, cycles=syscall_cycles(delta, work))
 
@@ -95,21 +85,28 @@ class VmSyscalls:
         mm = process.mm
         length = page_align_up(length)
         end = va + length
+        runs = list(mm.tree.leaf_runs(va, end))
+        _reject_partial_huge(runs, va, end, "munmap")
         removed = mm.vmas.remove_range(va, end)
         if not removed:
             raise InvalidMappingError(f"munmap of unmapped range 0x{va:x}+{length:#x}")
         before = mm.tree.ops.stats.snapshot()
         work = WorkCounters()
-        for base in self._mapped_bases_in_range(mm, va, end):
-            mapped = mm.frames.pop(base)
-            if mapped.huge and (base < va or base + HUGE_PAGE_SIZE > end):
-                raise InvalidMappingError(
-                    f"munmap range partially covers the 2 MiB page at 0x{base:x}"
-                )
+        for run in runs:
             with mm.lock():
-                mm.tree.unmap_page(base)
-            self.physmem.free(mapped.frame)
-            work.pages_freed += 512 if mapped.huge else 1
+                unmapped = mm.tree.clear_leaves(run)
+            if not unmapped:
+                continue
+            frames = [mm.frames.pop(base).frame for base in unmapped]
+            # Free in page-by-page unmap order, which the allocator's free
+            # lists (and so later PFNs) depend on: a table emptied by the
+            # last entry is released before that entry's frame.
+            for frame in frames[:-1]:
+                self.physmem.free(frame)
+            with mm.lock():
+                mm.tree.prune(run.path)
+            self.physmem.free(frames[-1])
+            work.pages_freed += len(frames) * (512 if run.huge else 1)
         # Pages sitting on the swap device in this range are gone too.
         for base in [b for b in mm.swapped if va <= b < end]:
             entry = mm.swapped.pop(base)
@@ -129,16 +126,13 @@ class VmSyscalls:
         end = va + length
         if not mm.vmas.in_range(va, end):
             raise InvalidMappingError(f"mprotect of unmapped range 0x{va:x}+{length:#x}")
+        runs = list(mm.tree.leaf_runs(va, end))
+        _reject_partial_huge(runs, va, end, "mprotect")
         mm.vmas.protect_range(va, end, prot)
         before = mm.tree.ops.stats.snapshot()
-        for base in self._mapped_bases_in_range(mm, va, end):
-            mapped = mm.frames[base]
-            if mapped.huge and (base < va or base + HUGE_PAGE_SIZE > end):
-                raise InvalidMappingError(
-                    f"mprotect range partially covers the 2 MiB page at 0x{base:x}"
-                )
+        for run in runs:
             with mm.lock():
-                mm.tree.protect_page(base, prot)
+                mm.tree.protect_leaves(run, prot)
         shoot = self.shootdown.flush_all(self.cpu_contexts)
         delta = mm.tree.ops.stats.delta(before)
         return SyscallResult(value=0, cycles=syscall_cycles(delta, WorkCounters(), shoot))
@@ -162,11 +156,11 @@ class VmSyscalls:
         delta = process.mm.tree.ops.stats.delta(before)
         return SyscallResult(value=0, cycles=syscall_cycles(delta, work, shoot))
 
-    @staticmethod
-    def _mapped_bases_in_range(mm, start: int, end: int) -> list[int]:
-        """Leaf base addresses mapped within ``[start, end)``, sorted."""
-        return sorted(
-            base
-            for base, mapped in mm.frames.items()
-            if base < end and base + mapped.frame.nbytes > start
-        )
+
+def _reject_partial_huge(runs: list[LeafRun], start: int, end: int, syscall: str) -> None:
+    """Refuse a range that splits a 2 MiB page, before anything changes."""
+    for run in runs:
+        if run.huge and (run.va < start or run.va + HUGE_PAGE_SIZE > end):
+            raise InvalidMappingError(
+                f"{syscall} range partially covers the 2 MiB page at 0x{run.va:x}"
+            )

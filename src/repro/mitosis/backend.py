@@ -20,7 +20,7 @@ from repro.mitosis.accessed_dirty import clear_ad_everywhere, read_entry_or_ad
 from repro.mitosis.ring import link_ring, replica_on_socket, ring_members, unlink_ring
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
-from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
+from repro.paging.pte import PTE_ACCESSED, make_pte, pte_flags, pte_huge, pte_pfn, pte_present
 from repro.trace.session import current_session
 
 
@@ -127,6 +127,27 @@ class MitosisPagingOps(PagingOps):
             session.count("mitosis.set_pte")
             session.count("mitosis.set_pte_replica_writes", float(len(members)))
 
+    def set_ptes(
+        self, tree: PageTableTree, page: PageTablePage, writes: list[tuple[int, int]]
+    ) -> None:
+        """Eagerly propagate a table's leaf writes, resolving its replica
+        ring once (the per-table batching Linux's ``set_pte_at`` loops get
+        under one page-table lock). Counted as one :meth:`set_pte` per
+        write: leaf values need no per-replica rewiring."""
+        if not writes:
+            return
+        members = ring_members(tree, page)
+        for index, value in writes:
+            for member in members:
+                self.apply_entry_write(member, index, value)
+        stores = len(members) * len(writes)
+        self.stats.ring_hops += stores
+        self.stats.pte_writes += stores
+        session = current_session()
+        if session is not None:
+            session.count("mitosis.set_pte", float(len(writes)))
+            session.count("mitosis.set_pte_replica_writes", float(stores))
+
     def read_pte(self, tree: PageTableTree, page: PageTablePage, index: int) -> int:
         """OS-visible read: first copy's entry with all replicas' A/D bits
         ORed in (§5.4's added PV-Ops get function)."""
@@ -140,6 +161,26 @@ class MitosisPagingOps(PagingOps):
         self.stats.ring_hops += len(members)
         self.stats.pte_writes += len(members)
         clear_ad_everywhere(tree, members, index)
+
+    def scan_accessed(
+        self, tree: PageTableTree, page: PageTablePage, indices: list[int], clear: bool
+    ) -> list[bool]:
+        """One ring traversal for a table's reclaim scan; counters as one
+        :meth:`read_pte` per index plus one :meth:`clear_ad_bits` per
+        cleared entry."""
+        members = ring_members(tree, page)
+        accessed = []
+        cleared = 0
+        for index in indices:
+            young = bool(read_entry_or_ad(tree, members, index) & PTE_ACCESSED)
+            if young and clear:
+                clear_ad_everywhere(tree, members, index)
+                cleared += 1
+            accessed.append(young)
+        self.stats.ring_hops += len(members) * (len(indices) + cleared)
+        self.stats.pte_reads += len(members) * len(indices)
+        self.stats.pte_writes += len(members) * cleared
+        return accessed
 
     # -- scheduling -------------------------------------------------------------
 

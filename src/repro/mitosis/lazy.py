@@ -34,7 +34,7 @@ from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps, _pick_for_socket
 from repro.mitosis.ring import ring_members
 from repro.paging.levels import LEAF_LEVEL
-from repro.paging.pagetable import PageTablePage, PageTableTree
+from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 from repro.paging.pte import (
     PTE_PRESENT,
     PTE_WRITABLE,
@@ -76,6 +76,9 @@ class LazyMitosisPagingOps(MitosisPagingOps):
         self.home_socket: int = min(mask)
 
     # -- write path --------------------------------------------------------------
+
+    # Each write decides for itself whether to propagate eagerly.
+    set_ptes = PagingOps.set_ptes
 
     def set_pte(self, tree: PageTableTree, page: PageTablePage, index: int, value: int) -> None:
         members = ring_members(tree, page)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.mitosis.backend import MitosisPagingOps
 from repro.mitosis.ring import ring_members
-from repro.paging.pagetable import PageTablePage, PageTableTree
+from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 
 
 class NaiveMitosisPagingOps(MitosisPagingOps):
@@ -25,6 +25,10 @@ class NaiveMitosisPagingOps(MitosisPagingOps):
     pointer — the paper's "4N memory accesses" for a leaf update on 4-level
     paging.
     """
+
+    # Batches still pay one walk per replica per entry: no ring to share.
+    set_ptes = PagingOps.set_ptes
+    scan_accessed = PagingOps.scan_accessed
 
     def set_pte(self, tree: PageTableTree, page: PageTablePage, index: int, value: int) -> None:
         members = ring_members(tree, page)

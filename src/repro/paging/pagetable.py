@@ -32,8 +32,10 @@ from repro.paging.levels import (
     LEAF_LEVEL,
     PagingGeometry,
     level_index,
+    level_span,
 )
 from repro.paging.pte import (
+    PTE_ACCESSED,
     PTE_HUGE,
     PTE_PRESENT,
     TABLE_FLAGS,
@@ -101,6 +103,36 @@ class Translation(NamedTuple):
         return HUGE_PAGE_SIZE if self.level == HUGE_LEAF_LEVEL else PAGE_SIZE
 
 
+class LeafRun(NamedTuple):
+    """One leaf table's share of a VA range (see :meth:`PageTableTree.leaf_runs`).
+
+    ``path`` runs from the root to the first entry in range. Its last
+    element's page is an L1 table, or the L2 table holding a 2 MiB leaf;
+    entries ``[path[-1].index, stop)`` of that table lie in the range.
+    """
+
+    va: int  # VA mapped by the first entry in range
+    path: list[PteLocation]
+    stop: int
+
+    @property
+    def table(self) -> PageTablePage:
+        return self.path[-1].page
+
+    @property
+    def huge(self) -> bool:
+        """True for a 2 MiB leaf (a single L2 entry)."""
+        return self.table.level != LEAF_LEVEL
+
+    def present(self) -> list[int]:
+        """Indices of the present entries in range."""
+        entries = self.table.entries
+        return [i for i in range(self.path[-1].index, self.stop) if entries[i] & PTE_PRESENT]
+
+    def va_of(self, index: int) -> int:
+        return self.va + (index - self.path[-1].index) * level_span(self.table.level)
+
+
 @dataclass
 class OpsStats:
     """Physical-effect counters a backend maintains; the syscall layer turns
@@ -159,6 +191,19 @@ class PagingOps(abc.ABC):
     def set_pte(self, tree: "PageTableTree", page: PageTablePage, index: int, value: int) -> None:
         """Write one PTE, propagating to all physical copies."""
 
+    def set_ptes(
+        self, tree: "PageTableTree", page: PageTablePage, writes: list[tuple[int, int]]
+    ) -> None:
+        """Write ``(index, value)`` leaf entries of one table, in order.
+
+        Values are leaf entries (4 KiB PTEs, 2 MiB leaves or zero), never
+        table pointers. Counters and stores equal one :meth:`set_pte` per
+        write; backends override this to resolve their copies once per
+        table instead of once per entry.
+        """
+        for index, value in writes:
+            self.set_pte(tree, page, index, value)
+
     @abc.abstractmethod
     def read_pte(self, tree: "PageTableTree", page: PageTablePage, index: int) -> int:
         """Read one PTE as the OS must see it (A/D bits ORed across copies,
@@ -167,6 +212,24 @@ class PagingOps(abc.ABC):
     @abc.abstractmethod
     def clear_ad_bits(self, tree: "PageTableTree", page: PageTablePage, index: int) -> None:
         """Reset accessed/dirty in *all* physical copies (§5.4)."""
+
+    def scan_accessed(
+        self, tree: "PageTableTree", page: PageTablePage, indices: list[int], clear: bool
+    ) -> list[bool]:
+        """Accessed bit of each entry in ``indices`` as the OS sees it; with
+        ``clear``, the A/D bits of each accessed entry are reset in every
+        copy (the reclaim clock's second chance).
+
+        Counters equal one :meth:`read_pte` per index plus one
+        :meth:`clear_ad_bits` per cleared entry.
+        """
+        accessed = []
+        for index in indices:
+            young = bool(self.read_pte(tree, page, index) & PTE_ACCESSED)
+            if young and clear:
+                self.clear_ad_bits(tree, page, index)
+            accessed.append(young)
+        return accessed
 
     @abc.abstractmethod
     def root_pfn_for_socket(self, tree: "PageTableTree", socket: int) -> int:
@@ -300,6 +363,16 @@ class PageTableTree:
         if va % size:
             raise InvalidMappingError(f"va 0x{va:x} not aligned to {size}")
         leaf_level = HUGE_LEAF_LEVEL if huge else LEAF_LEVEL
+        page = self._descend(va, leaf_level, node_hint)
+        index = level_index(va, leaf_level)
+        if pte_present(page.entries[index]):
+            raise InvalidMappingError(f"va 0x{va:x} is already mapped")
+        leaf_flags = flags | PTE_PRESENT | (PTE_HUGE if huge else 0)
+        self.ops.set_pte(self, page, index, make_pte(data_pfn, leaf_flags))
+
+    def _descend(self, va: int, leaf_level: int, node_hint: int) -> PageTablePage:
+        """The ``leaf_level`` table covering ``va``, creating missing tables
+        on the way down (placed by the backend from ``node_hint``)."""
         page = self.root
         for level in range(self.geometry.root_level, leaf_level, -1):
             index = level_index(va, level)
@@ -314,11 +387,103 @@ class PageTableTree:
                 )
             else:
                 page = self.registry[pte_pfn(entry)]
-        index = level_index(va, leaf_level)
-        if pte_present(page.entries[index]):
-            raise InvalidMappingError(f"va 0x{va:x} is already mapped")
-        leaf_flags = flags | PTE_PRESENT | (PTE_HUGE if huge else 0)
-        self.ops.set_pte(self, page, index, make_pte(data_pfn, leaf_flags))
+        return page
+
+    def leaf_table(self, va: int, node_hint: int = 0) -> PageTablePage:
+        """The L1 table of the 2 MiB span holding ``va``: one descent that
+        finds it, or creates it and any missing table above it.
+
+        Raises:
+            InvalidMappingError: the span is mapped by a 2 MiB page.
+        """
+        self.geometry.check_va(va)
+        return self._descend(va, LEAF_LEVEL, node_hint)
+
+    def map_leaves(self, table: PageTablePage, va: int, pfns: list[int], flags: int) -> None:
+        """Map consecutive 4 KiB pages ``va, va + 4 KiB, ...`` to ``pfns``
+        in one backend write; ``table`` is :meth:`leaf_table` of ``va`` and
+        the pages must not leave its span.
+
+        Raises:
+            InvalidMappingError: misaligned ``va``, or a page is already
+                mapped (nothing is written then).
+        """
+        if va % PAGE_SIZE:
+            raise InvalidMappingError(f"va 0x{va:x} not aligned to {PAGE_SIZE}")
+        first = level_index(va, LEAF_LEVEL)
+        if first + len(pfns) > PTES_PER_TABLE:
+            raise InvalidMappingError(f"{len(pfns)} pages at 0x{va:x} leave one leaf table")
+        entries = table.entries
+        leaf_flags = flags | PTE_PRESENT
+        writes = []
+        for offset, pfn in enumerate(pfns):
+            if entries[first + offset] & PTE_PRESENT:
+                raise InvalidMappingError(f"va 0x{va + offset * PAGE_SIZE:x} is already mapped")
+            writes.append((first + offset, make_pte(pfn, leaf_flags)))
+        self.ops.set_ptes(self, table, writes)
+
+    def leaf_runs(self, start: int, end: int) -> Iterator[LeafRun]:
+        """The leaf tables and 2 MiB leaves overlapping ``[start, end)``, in
+        VA order: one descent per table, absent subtrees skipped whole.
+
+        A run may have no present entry in range (an L1 table mapping only
+        pages outside it).
+        """
+        if start < end:
+            yield from self._leaf_runs(self.root, 0, start, end, [])
+
+    def _leaf_runs(
+        self, page: PageTablePage, va_base: int, start: int, end: int, path: list[PteLocation]
+    ) -> Iterator[LeafRun]:
+        span = level_span(page.level)
+        first = max(start - va_base, 0) // span
+        stop = min(-(-(end - va_base) // span), PTES_PER_TABLE)
+        if page.level == LEAF_LEVEL:
+            yield LeafRun(va_base + first * span, [*path, PteLocation(page, first)], stop)
+            return
+        for index in range(first, stop):
+            entry = page.entries[index]
+            if not pte_present(entry):
+                continue
+            va = va_base + index * span
+            location = [*path, PteLocation(page, index)]
+            if pte_huge(entry):
+                yield LeafRun(va, location, index + 1)
+            else:
+                yield from self._leaf_runs(self.registry[pte_pfn(entry)], va, start, end, location)
+
+    # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
+    def clear_leaves(self, run: LeafRun) -> list[int]:
+        """Unmap every present entry of ``run`` in one backend write;
+        returns the VAs unmapped. Emptied tables stay until :meth:`prune`."""
+        present = run.present()
+        if present:
+            self.ops.set_ptes(self, run.table, [(index, 0) for index in present])
+        return [run.va_of(index) for index in present]
+
+    # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
+    def prune(self, path: list[PteLocation]) -> None:
+        """Release the tables along ``path`` left empty, bottom-up (never
+        the root), so long-lived processes do not leak page-table memory."""
+        for depth in range(len(path) - 1, 0, -1):
+            page = path[depth].page
+            if page.valid_count > 0:
+                break
+            parent = path[depth - 1]
+            self.ops.set_pte(self, parent.page, parent.index, 0)
+            self.ops.release_table(self, page)
+
+    # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
+    def protect_leaves(self, run: LeafRun, flags: int) -> None:
+        """:meth:`protect_page` for every present entry of ``run``, written
+        in one backend call."""
+        writes = []
+        for index in run.present():
+            entry = self.ops.read_pte_local(run.table, index)
+            keep = PTE_PRESENT | (entry & PTE_HUGE)
+            writes.append((index, make_pte(pte_pfn(entry), flags | keep)))
+        if writes:
+            self.ops.set_ptes(self, run.table, writes)
 
     # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
     def unmap_page(self, va: int) -> Translation:
@@ -338,14 +503,7 @@ class PageTableTree:
             pfn=pte_pfn(entry), flags=pte_flags(entry), level=location.page.level
         )
         self.ops.set_pte(self, location.page, location.index, 0)
-        # Garbage-collect now-empty tables (never the root).
-        for depth in range(len(path) - 1, 0, -1):
-            page = path[depth].page
-            if page.valid_count > 0:
-                break
-            parent = path[depth - 1]
-            self.ops.set_pte(self, parent.page, parent.index, 0)
-            self.ops.release_table(self, page)
+        self.prune(path)
         return removed
 
     # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
@@ -434,8 +592,6 @@ class PageTableTree:
         yield from self._iter_mappings(self.root, 0)
 
     def _iter_mappings(self, page: PageTablePage, va_base: int) -> Iterator[tuple[int, Translation]]:
-        from repro.paging.levels import level_span
-
         span = level_span(page.level)
         for index, entry in enumerate(page.entries):
             if not pte_present(entry):
