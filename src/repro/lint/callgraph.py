@@ -64,6 +64,8 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import deque
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.lint.core import ParsedModule
@@ -222,8 +224,10 @@ class ProjectIndex:
     # -- provenance ----------------------------------------------------------
 
     def caller_chain(self, qualname: str, depth: int = 3) -> list[str]:
-        """One shortest chain of callers reaching ``qualname`` (for
-        finding messages), outermost first."""
+        """A chain of up to ``depth`` callers reaching ``qualname`` (for
+        finding messages), nearest caller first. Each step takes the
+        first recorded caller not already on the chain, so this is one
+        chain, not necessarily the shortest."""
         chain: list[str] = []
         current, seen = qualname, {qualname}
         for _ in range(depth):
@@ -235,6 +239,41 @@ class ProjectIndex:
             seen.add(nxt.qualname)
             current = nxt.qualname
         return chain
+
+    def call_graph(self) -> dict[str, set[str]]:
+        """qualname -> every function its call sites may dispatch to."""
+        return {
+            q: {r for site in fn.calls for r in site.resolutions}
+            for q, fn in self.functions.items()
+        }
+
+
+def least_fixpoint(
+    graph: Mapping[str, Iterable[str]], update: Callable[[str], bool]
+) -> None:
+    """Drive ``update`` to its least fixpoint over a dependency graph.
+
+    ``graph[n]`` names the nodes ``update(n)`` reads; ``update(n)``
+    recomputes ``n``'s facts and returns True when they grew. A FIFO
+    worklist over the reverse edges runs every node once in sorted
+    order, then again whenever a node it reads grew. Facts only grow, so
+    no round cap is needed, and the fixed visit order keeps first-wins
+    side effects (a recorded sink description) deterministic.
+    """
+    readers: dict[str, set[str]] = {}
+    for node, deps in graph.items():
+        for dep in deps:
+            readers.setdefault(dep, set()).add(node)
+    queue = deque(sorted(graph))
+    queued = set(queue)
+    while queue:
+        node = queue.popleft()
+        queued.discard(node)
+        if update(node):
+            for reader in sorted(readers.get(node, ())):
+                if reader not in queued:
+                    queued.add(reader)
+                    queue.append(reader)
 
 
 # -- annotation parsing -------------------------------------------------------

@@ -60,6 +60,7 @@ from repro.lint.callgraph import (
     ProjectIndex,
     _Typer,
     _unique_basename,
+    least_fixpoint,
     parse_annotation,
 )
 from repro.lint.core import (
@@ -584,17 +585,15 @@ class LockAcrossSpawnRule(WholeProgramRule):
             if (al := aliases.get(fn.path)) is not None
             and self._direct_spawn_stmts(index, fn, al)
         }
-        changed = True
-        while changed:
-            changed = False
-            for fn in index.functions.values():
-                if fn.qualname in spawning:
-                    continue
-                for site in fn.calls:
-                    if any(q in spawning for q in site.resolutions):
-                        spawning.add(fn.qualname)
-                        changed = True
-                        break
+        graph = index.call_graph()
+
+        def update(qualname: str) -> bool:
+            if qualname in spawning or spawning.isdisjoint(graph[qualname]):
+                return False
+            spawning.add(qualname)
+            return True
+
+        least_fixpoint(graph, update)
         return spawning
 
     def _spawn_stmts(
@@ -674,9 +673,12 @@ class LockAcrossSpawnRule(WholeProgramRule):
                 for node in cfg.stmt_nodes.get(sid, [])
             }
             for node in cfg.nodes_for(stmt):
-                reached = self._reaches(cfg, node, spawn_nodes, release_nodes)
-                if reached is None:
+                path = find_unprotected_path(
+                    cfg, node, release_nodes, goals=spawn_nodes
+                )
+                if path is None:
                     continue
+                reached = path[-1]
                 how = spawn_stmts.get(
                     id(cfg.nodes[reached]), "a spawn point"
                 )
@@ -751,29 +753,6 @@ class LockAcrossSpawnRule(WholeProgramRule):
                     ):
                         nodes.update(cfg.nodes_for(stmt))
         return nodes
-
-    @staticmethod
-    def _reaches(
-        cfg: Cfg, start: int, goals: set[int], blockers: set[int]
-    ) -> int | None:
-        """First goal node reachable from ``start`` without passing a
-        blocker, or ``None``. ``start`` itself is not re-checked."""
-        frontier = sorted(cfg.successors(start), reverse=True)
-        visited: set[int] = set()
-        while frontier:
-            node = frontier.pop()
-            if node in visited or node in blockers:
-                continue
-            visited.add(node)
-            if node in goals:
-                return node
-            if node in (Cfg.EXIT, Cfg.RAISE):
-                continue
-            frontier.extend(
-                s for s in sorted(cfg.successors(node), reverse=True)
-                if s not in visited
-            )
-        return None
 
 
 # -- SIG001: async-signal-safe handlers ---------------------------------------

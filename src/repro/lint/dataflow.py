@@ -6,8 +6,9 @@ not where the value goes. The protocol layer (``TLBGEN``/``SHOOT``/
 ``SPAN``/``PROV``) sees *call pairings* but not values at all. This
 module sees value flow: a fixed-point taint engine over the statement
 CFGs of :mod:`repro.lint.flow` and the call graph of
-:mod:`repro.lint.callgraph`, with per-function summaries computed
-bottom-up over the SCCs of the call graph.
+:mod:`repro.lint.callgraph`, with per-function summaries solved by
+:func:`repro.lint.callgraph.least_fixpoint` over the call graph plus
+attribute writer -> reader edges.
 
 Three rules ride on it:
 
@@ -75,14 +76,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.lint.callgraph import FunctionInfo, ProjectIndex
+from repro.lint.callgraph import FunctionInfo, ProjectIndex, least_fixpoint
 from repro.lint.core import (
     Finding,
     ParsedModule,
     WholeProgramRule,
     register_whole_program_rule,
 )
-from repro.lint.flow import Cfg, build_cfg, executed_exprs, iter_statements
+from repro.lint.flow import (
+    Cfg,
+    build_cfg,
+    executed_exprs,
+    find_unprotected_path,
+    iter_statements,
+)
 from repro.lint.parallel import fork_map
 from repro.lint.rules_determinism import _BANNED_CALLS
 
@@ -712,6 +719,7 @@ def _safe_unparse(expr: ast.AST) -> str:
 
 
 def _serialize_cfg(cfg: Cfg) -> dict:
+    """The JSON form of ``cfg`` kept in the IR (see :func:`_thaw_cfg`)."""
     return {
         "entry": cfg.entry,
         "lines": {
@@ -720,42 +728,6 @@ def _serialize_cfg(cfg: Cfg) -> dict:
         "normal": {str(s): sorted(d) for s, d in cfg.normal.items()},
         "raises": {str(s): sorted(d) for s, d in cfg.raises.items()},
     }
-
-
-def _unprotected_path(
-    cfg: dict, start: int, sinks: set[int], *, count_exception_paths: bool
-) -> list[int] | None:
-    """:func:`repro.lint.flow.find_unprotected_path` over the *serialized*
-    CFG, so cached modules never need their ASTs re-lowered. Semantics
-    match the live version with ``inclusive=False``."""
-    normal = {int(k): v for k, v in cfg["normal"].items()}
-    raises = {int(k): v for k, v in cfg["raises"].items()}
-    goals = {Cfg.EXIT} | ({Cfg.RAISE} if count_exception_paths else set())
-
-    def successors(node: int, *, include_raise: bool) -> list[int]:
-        out = list(normal.get(node, []))
-        if include_raise:
-            out.extend(raises.get(node, []))
-        return sorted(set(out))
-
-    first = successors(start, include_raise=not count_exception_paths)
-    frontier = [(succ, (start, succ)) for succ in sorted(first, reverse=True)]
-    visited: set[int] = set()
-    while frontier:
-        node, path = frontier.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        if node in sinks:
-            continue
-        if node in goals:
-            return list(path)
-        if node in (Cfg.EXIT, Cfg.RAISE):
-            continue
-        for succ in sorted(successors(node, include_raise=True), reverse=True):
-            if succ not in visited:
-                frontier.append((succ, path + (succ,)))
-    return None
 
 
 # -- the on-disk summary cache ------------------------------------------------
@@ -909,12 +881,6 @@ class ProjectDataflow:
         }
         self.abi = abi_digest(index)
         self._extract_all()
-        self._order = _scc_order(
-            {
-                q: sorted({r for call in ir["calls"] for r in call["refs"]})
-                for q, ir in self.irs.items()
-            }
-        )
         self._solve_summaries()
         self._collect_findings()
 
@@ -1003,12 +969,7 @@ class ProjectDataflow:
                     env.setdefault(call["node"], set()).update(new)
                     changed = True
             for dst, srcs in ir["edges"].items():
-                acc: set[tuple] = set()
-                for src in srcs:
-                    if src.startswith("a:"):
-                        acc |= self.attr_env.get(src, set())
-                    else:
-                        acc |= env.get(src, set())
+                acc = self._toks(srcs, env)
                 if not acc <= env.get(dst, set()):
                     env.setdefault(dst, set()).update(acc)
                     changed = True
@@ -1016,60 +977,53 @@ class ProjectDataflow:
                 break
         return env
 
+    def _toks(self, deps: Iterable[str], env: dict[str, set[tuple]]) -> set[tuple]:
+        """The taint of ``deps``: attribute nodes from ``attr_env``, the
+        rest from the function-local ``env``."""
+        out: set[tuple] = set()
+        for d in deps:
+            out |= (self.attr_env if d.startswith("a:") else env).get(d, set())
+        return out
+
     def _map_args(
         self, call: dict, callee_ir: dict, env: dict[str, set[tuple]]
     ) -> dict[str, set[tuple]]:
         """Caller-side taint per callee parameter name."""
-
-        def toks(deps: Iterable[str]) -> set[tuple]:
-            out: set[tuple] = set()
-            for d in deps:
-                if d.startswith("a:"):
-                    out |= self.attr_env.get(d, set())
-                else:
-                    out |= env.get(d, set())
-            return out
-
         params = callee_ir["params"]
         pos_params = list(params["pos"])
         mapping: dict[str, set[tuple]] = {}
+
+        def bind(name: str, deps: Iterable[str]) -> None:
+            mapping.setdefault(name, set()).update(self._toks(deps, env))
+
         offset = 0
         if call["bound"] and callee_ir["cls"] is not None and pos_params:
-            mapping[pos_params[0]] = toks(call["recv"])
+            mapping[pos_params[0]] = self._toks(call["recv"], env)
             offset = 1
         for i, deps in enumerate(call["pos"]):
             idx = i + offset
             if idx < len(pos_params):
-                mapping.setdefault(pos_params[idx], set()).update(toks(deps))
+                bind(pos_params[idx], deps)
             elif params["vararg"]:
-                mapping.setdefault(params["vararg"], set()).update(toks(deps))
+                bind(params["vararg"], deps)
         for kw, deps in call["kw"].items():
             if kw in pos_params or kw in params["kwonly"]:
-                mapping.setdefault(kw, set()).update(toks(deps))
+                bind(kw, deps)
             elif params["kwarg"]:
-                mapping.setdefault(params["kwarg"], set()).update(toks(deps))
+                bind(params["kwarg"], deps)
             elif kw == "**":
                 for p in pos_params + params["kwonly"]:
-                    mapping.setdefault(p, set()).update(toks(deps))
+                    bind(p, deps)
         return mapping
 
     def _call_tokens(
         self, ir: dict, call: dict, env: dict[str, set[tuple]]
     ) -> set[tuple]:
-        def toks(deps: Iterable[str]) -> set[tuple]:
-            out: set[tuple] = set()
-            for d in deps:
-                if d.startswith("a:"):
-                    out |= self.attr_env.get(d, set())
-                else:
-                    out |= env.get(d, set())
-            return out
-
-        all_args: set[tuple] = toks(call["recv"])
+        all_args: set[tuple] = self._toks(call["recv"], env)
         for deps in call["pos"]:
-            all_args |= toks(deps)
+            all_args |= self._toks(deps, env)
         for deps in call["kw"].values():
-            all_args |= toks(deps)
+            all_args |= self._toks(deps, env)
         refs = call["refs"]
         if not refs:
             return all_args  # unknown callee: conservative pass-through
@@ -1116,21 +1070,23 @@ class ProjectDataflow:
         return out
 
     def _solve_summaries(self) -> None:
-        for q in self.irs:
+        """Least fixpoint of every summary and of ``attr_env``. A function
+        reads the summaries of its callees (``calls`` and ``callpass``
+        refs) and the attribute nodes written by other functions."""
+        writers: dict[str, set[str]] = {}
+        for q, ir in self.irs.items():
+            for dst in ir["edges"]:
+                if dst.startswith("a:"):
+                    writers.setdefault(dst, set()).add(q)
+        graph: dict[str, set[str]] = {}
+        for q, ir in self.irs.items():
+            deps = {r for call in ir["calls"] for r in call["refs"]}
+            deps.update(r for rec in ir["res"]["callpass"] for r in rec["refs"])
+            for attr in _attr_reads(ir):
+                deps |= writers.get(attr, set())
+            graph[q] = deps
             self.summaries[q] = _Summary()
-        for _ in range(20):
-            before_attrs = {k: set(v) for k, v in self.attr_env.items()}
-            changed = False
-            for group in self._order:
-                for _ in range(10):
-                    group_changed = False
-                    for q in group:
-                        if self._update_summary(q):
-                            group_changed = changed = True
-                    if not group_changed:
-                        break
-            if not changed and self.attr_env == before_attrs:
-                break
+        least_fixpoint(graph, self._update_summary)
 
     def _update_summary(self, qualname: str) -> bool:
         ir = self.irs[qualname]
@@ -1140,11 +1096,13 @@ class ProjectDataflow:
         # Return summary: concrete + param tokens reaching `ret`.
         summary.ret_tokens |= env.get("ret", set())
         # Attr writes feed the global attribute environment.
-        for dst, _ in ir["edges"].items():
+        attrs_grew = False
+        for dst in ir["edges"]:
             if dst.startswith("a:"):
                 tokens = {t for t in env.get(dst, set()) if t[0] == "nondet"}
                 if not tokens <= self.attr_env.get(dst, set()):
                     self.attr_env.setdefault(dst, set()).update(tokens)
+                    attrs_grew = True
         # Sink-reaching params (transitive through call sites).
         own_sink = self._marked(qualname, "sink", "determinism")
         if own_sink:
@@ -1192,7 +1150,7 @@ class ProjectDataflow:
                     summary.releases.add(rec["var"])
                 if target in callee.stores:
                     summary.stores.add(rec["var"])
-        return summary.snapshot() != before
+        return attrs_grew or summary.snapshot() != before
 
     # -- findings -------------------------------------------------------------
 
@@ -1267,7 +1225,9 @@ class ProjectDataflow:
                             )
 
     def _resource_findings(self, qualname: str, ir: dict) -> None:
-        cfg = ir["cfg"]
+        if not (ir["res"]["acquires"] or ir["res"]["terminates"]):
+            return
+        cfg = _thaw_cfg(ir["cfg"])
         params = set(ir["params"]["pos"] + ir["params"]["kwonly"])
         by_var_sinks: dict[str, set[int]] = {}
 
@@ -1306,14 +1266,14 @@ class ProjectDataflow:
             sinks = sinks_for(acq["var"])
             violation = None
             for node in acq["node_ids"]:
-                violation = _unprotected_path(
+                violation = find_unprotected_path(
                     cfg, node, sinks, count_exception_paths=count_exc
                 )
                 if violation is not None:
                     break
             if violation is None:
                 continue
-            where = _describe_path(cfg, violation)
+            where = _describe_path(ir["cfg"], violation)
             if rule == "RES001":
                 message = (
                     f"{acq['desc']} `{acq['var']}` acquired here can leak: "
@@ -1348,9 +1308,7 @@ class ProjectDataflow:
             sinks = join_nodes.get(rec["recv"], set())
             violation = None
             for node in rec["node_ids"]:
-                violation = _unprotected_path(
-                    cfg, node, sinks, count_exception_paths=False
-                )
+                violation = find_unprotected_path(cfg, node, sinks)
                 if violation is not None:
                     break
             if violation is None:
@@ -1364,7 +1322,7 @@ class ProjectDataflow:
                     message=(
                         f"{rec['recv']}.{rec['word']}() is not followed by "
                         f"{rec['recv']}.join() on every path "
-                        f"({_describe_path(cfg, violation)}); a signalled "
+                        f"({_describe_path(ir['cfg'], violation)}); a signalled "
                         "worker must still be reaped"
                     ),
                     context=rec["context"],
@@ -1401,56 +1359,31 @@ def _describe_path(cfg: dict, path: list[int]) -> str:
     return " -> ".join(parts)
 
 
+def _thaw_cfg(cfg: dict) -> Cfg:
+    """A :class:`Cfg` rebuilt from its serialized form, for path search
+    without re-lowering the AST. Only the edges survive: ``nodes`` stays
+    empty and messages name lines through :func:`_describe_path`."""
+    return Cfg(
+        normal={int(k): set(v) for k, v in cfg["normal"].items()},
+        raises={int(k): set(v) for k, v in cfg["raises"].items()},
+        entry=cfg["entry"],
+    )
+
+
+def _attr_reads(ir: dict) -> set[str]:
+    """The ``a:<Class.attr>`` nodes a function's IR reads."""
+    deps = [src for srcs in ir["edges"].values() for src in srcs]
+    for call in ir["calls"]:
+        deps += call["recv"]
+        deps += [d for arg in call["pos"] for d in arg]
+        deps += [d for arg in call["kw"].values() for d in arg]
+    return {d for d in deps if d.startswith("a:")}
+
+
 def _thaw_ir(ir: dict) -> dict:
     """Normalize a (possibly JSON-roundtripped) IR record in place."""
     ir["edges"] = {dst: list(srcs) for dst, srcs in ir["edges"].items()}
     return ir
-
-
-def _scc_order(graph: dict[str, list[str]]) -> list[list[str]]:
-    """Tarjan SCCs of the call graph, callees-first (reverse topological),
-    iteratively (no recursion limit surprises on deep call chains)."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = [0]
-
-    for root in sorted(graph):
-        if root in index_of:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index_of[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = [c for c in graph.get(node, []) if c in graph]
-            if child_i < len(children):
-                work[-1] = (node, child_i + 1)
-                child = children[child_i]
-                if child not in index_of:
-                    work.append((child, 0))
-                elif child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index_of[node]:
-                    scc = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc.append(member)
-                        if member == node:
-                            break
-                    sccs.append(sorted(scc))
-    return sccs  # Tarjan emits callees before callers
 
 
 # -- entry points -------------------------------------------------------------

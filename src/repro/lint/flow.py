@@ -7,7 +7,10 @@ synthetic terminals (``EXIT`` for falling off the end or returning,
 ``RAISE`` for an exception escaping the function);
 :func:`find_unprotected_path` then answers the protocol-rule question
 *"is there a path from this obligation to a terminal that avoids every
-sink?"* and returns the offending path for the finding message.
+sink?"* and returns the offending path for the finding message. It is
+the linter's one CFG path search: the protocol, dataflow (over a
+:class:`Cfg` rebuilt from the cached IR) and concurrency rules all call
+it.
 
 Design notes, in decreasing order of importance:
 
@@ -298,9 +301,12 @@ def find_unprotected_path(
     *,
     inclusive: bool = False,
     count_exception_paths: bool = False,
+    goals: set[int] | None = None,
 ) -> list[int] | None:
     """A path from ``start`` to a flagged terminal that avoids every sink
-    node, or ``None`` if all such paths are protected.
+    node, or ``None`` if all such paths are protected. The search is a
+    depth-first walk in ascending node order, so the path is
+    deterministic.
 
     ``inclusive`` checks ``start`` itself as a potential sink (used for
     function-entry obligations, where ``start`` is the CFG entry);
@@ -313,8 +319,16 @@ def find_unprotected_path(
     (an escaping exception is not a protocol violation for rules like
     TLBGEN); ``True`` flags them too (an unclosed trace span on an
     exception path is exactly the SPAN001 bug).
+
+    ``goals`` replaces the flagged terminals with arbitrary nodes: the
+    search then answers *"is a goal reachable without passing a sink?"*
+    and the returned path ends at the first goal found (FORK002 asks
+    whether a spawn is reachable from ``lock.acquire()`` before
+    ``release()``). Terminals still end the walk; ``count_exception_paths``
+    still decides whether ``start``'s own raise edge is followed.
     """
-    goals = {Cfg.EXIT} | ({Cfg.RAISE} if count_exception_paths else set())
+    if goals is None:
+        goals = {Cfg.EXIT} | ({Cfg.RAISE} if count_exception_paths else set())
     if inclusive:
         frontier = [(start, (start,))]
     else:

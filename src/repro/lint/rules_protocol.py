@@ -40,7 +40,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.lint.callgraph import CallSite, FunctionInfo, ProjectIndex
+from repro.lint.callgraph import CallSite, FunctionInfo, ProjectIndex, least_fixpoint
 from repro.lint.core import (
     Finding,
     ParsedModule,
@@ -172,28 +172,27 @@ class ObligationRule(WholeProgramRule):
             for fn in index.functions.values()
             if self.spec.key in fn.marker_keys("settles", "ends")
         }
-        changed = True
-        while changed:
-            changed = False
-            for fn in index.functions.values():
-                if fn.qualname in settled:
-                    continue
-                if self.spec.key in fn.marker_keys("defers", "begins"):
-                    continue  # defers = explicitly does NOT settle
-                cfg = self._cfg(fn)
-                sinks = self._sinks(fn, cfg, settled)
-                if not sinks:
-                    continue
-                path = find_unprotected_path(
-                    cfg,
-                    cfg.entry,
-                    sinks,
-                    inclusive=True,
-                    count_exception_paths=self.spec.count_exception_paths,
-                )
-                if path is None:
-                    settled.add(fn.qualname)
-                    changed = True
+
+        def update(qualname: str) -> bool:
+            fn = index.functions[qualname]
+            if qualname in settled:
+                return False
+            if self.spec.key in fn.marker_keys("defers", "begins"):
+                return False  # defers = explicitly does NOT settle
+            cfg = self._cfg(fn)
+            sinks = self._sinks(fn, cfg, settled)
+            if not sinks or find_unprotected_path(
+                cfg,
+                cfg.entry,
+                sinks,
+                inclusive=True,
+                count_exception_paths=self.spec.count_exception_paths,
+            ):
+                return False
+            settled.add(qualname)
+            return True
+
+        least_fixpoint(index.call_graph(), update)
         return settled
 
     # -- plumbing ------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.lint.dataflow import (
     IR_SCHEMA,
     ProjectDataflow,
     SummaryCache,
-    _scc_order,
     abi_digest,
     default_cache_dir,
 )
@@ -180,8 +179,8 @@ class TestDeterminismTaint:
         assert _rules_fired(analysis) == set()
 
     def test_mutual_recursion_converges(self):
-        """The SCC fixpoint terminates and still sees the flow through a
-        recursive cycle."""
+        """The summary fixpoint terminates and still sees the flow through
+        a recursive cycle."""
         analysis = _analyze(
             _with_sink(
                 """
@@ -201,6 +200,30 @@ class TestDeterminismTaint:
             )
         )
         assert len(analysis.findings["DETFLOW001"]) == 1
+
+    def test_attribute_read_is_revisited_after_a_later_writer(self):
+        """``Clock.a_read`` sorts before ``Clock.z_write``, so its first
+        visit sees no taint on ``stamp``; the writer -> reader edge must
+        bring it back once ``z_write`` taints the attribute."""
+        analysis = _analyze(
+            _with_sink(
+                """
+                import time
+
+                class Clock:
+                    def a_read(self):
+                        return self.stamp
+
+                    def z_write(self):
+                        self.stamp = time.time()
+
+                def emit(clock: Clock):
+                    return record(clock.a_read())
+                """
+            )
+        )
+        (finding,) = analysis.findings["DETFLOW001"]
+        assert finding.context == "self.stamp = time.time()"
 
 
 class TestResourceLifecycles:
@@ -366,15 +389,3 @@ class TestSummaryCache:
         (tmp_path / "repo" / "pyproject.toml").write_text("")
         assert default_cache_dir(repo) == tmp_path / "repo" / ".lint-cache"
 
-
-class TestSccOrder:
-    def test_callees_come_before_callers(self):
-        order = _scc_order({"a": ["b"], "b": ["c"], "c": []})
-        flat = [q for group in order for q in group]
-        assert flat.index("c") < flat.index("b") < flat.index("a")
-
-    def test_mutual_recursion_is_grouped(self):
-        order = _scc_order({"a": ["b"], "b": ["a"], "main": ["a"]})
-        groups = [set(g) for g in order]
-        assert {"a", "b"} in groups
-        assert groups.index({"a", "b"}) < groups.index({"main"})

@@ -239,6 +239,32 @@ class TestReachability:
             is None
         )
 
+    def test_goals_end_the_path_at_the_first_goal_reached(self):
+        """FORK002's question: from ``acquire``, which spawn is reachable
+        before a ``release``? The blocked branch's spawn is not, and the
+        path stops at the first reachable spawn."""
+        _, cfg = _cfg(
+            """
+            def f(cond, lock, spawn):
+                lock.acquire()
+                if cond:
+                    lock.release()
+                    spawn()
+                    return
+                spawn()
+                spawn()
+                lock.release()
+            """
+        )
+        (acquire,) = _nodes_at(cfg, 3)
+        releases = _nodes_at(cfg, 5) | _nodes_at(cfg, 10)
+        spawns = _nodes_at(cfg, 6) | _nodes_at(cfg, 8) | _nodes_at(cfg, 9)
+        path = find_unprotected_path(cfg, acquire, releases, goals=spawns)
+        assert [cfg.describe(n) for n in path] == ["line 3", "line 4", "line 8"]
+        # Block the reachable spawns too: no goal is left to reach.
+        blocked = releases | _nodes_at(cfg, 8)
+        assert find_unprotected_path(cfg, acquire, blocked, goals=spawns) is None
+
 
 class TestRaiseEdges:
     """The edges the dataflow rules lean on: ``assert`` and explicit

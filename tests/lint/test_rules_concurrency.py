@@ -9,6 +9,7 @@ next to it stays clean.
 
 from __future__ import annotations
 
+import textwrap
 from pathlib import Path
 
 from repro.lint import lint_paths
@@ -41,6 +42,42 @@ class TestFixturesFire:
         assert "while holding `lock`" in with_block.message
         assert "no .release() on the path" in acquire_path.message
         assert all("inherits a locked mutex" in f.message for f in found)
+
+    def test_fork002_spawn_two_calls_away(self, tmp_path):
+        """``outer`` spawns only through ``inner``: the spawn set is a
+        fixpoint over the call graph, not just the direct spawners."""
+        module = tmp_path / "spawn_chain.py"
+        module.write_text(
+            textwrap.dedent(
+                """
+                import threading
+                from multiprocessing import Process
+
+
+                def work() -> None:
+                    pass
+
+
+                def inner() -> None:
+                    worker = Process(target=work)
+                    worker.start()
+
+
+                def outer() -> None:
+                    inner()
+
+
+                def seal() -> None:
+                    lock = threading.Lock()
+                    with lock:
+                        outer()
+                """
+            )
+        )
+        (found,) = _findings(module, "FORK002")
+        assert found.line == 22
+        assert "spawns via outer() which spawns" in found.message
+        assert "while holding `lock`" in found.message
 
     def test_sig001_unsafe_transitive_callee(self):
         found = _findings(FIXTURES / "sig_unsafe_handler.py", "SIG001")
