@@ -221,8 +221,9 @@ def _add_lint_args(parser: argparse.ArgumentParser) -> None:
         help="also build the project call graph and run the cross-module "
         "protocol rules (TLBGEN001/TLBGEN002, SHOOT001, PROV001, SPAN001), "
         "the interprocedural dataflow rules (DETFLOW001, "
-        "RES001/RES002) and the concurrency rules (FORK001/FORK002, "
-        "SIG001, PIPE001/PIPE002)",
+        "RES001/RES002 handle lifecycles incl. pipe ends, PIPE002 pipe "
+        "typestate) and the concurrency rules (FORK001/FORK002, "
+        "SIG001, PIPE001 message pairing)",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",

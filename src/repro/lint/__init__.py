@@ -15,11 +15,12 @@ This package is that tooling, in two halves:
   graph (:mod:`repro.lint.callgraph`) with per-function CFG reachability
   (:mod:`repro.lint.flow`), interprocedural dataflow rules
   (``DETFLOW001`` determinism taint, ``RES001``/``RES002`` resource
-  lifecycles) solved by :mod:`repro.lint.dataflow` with an
-  incremental, content-hash-keyed summary cache, and concurrency /
-  process-lifecycle rules (``FORK001``/``FORK002`` fork-safety,
-  ``SIG001`` signal-handler safety, ``PIPE001``/``PIPE002`` pipe
-  typestates — :mod:`repro.lint.concurrency`); run via
+  lifecycles, ``PIPE002`` pipe typestate) solved by
+  :mod:`repro.lint.dataflow` with an incremental, content-hash-keyed
+  summary cache, and concurrency / process-lifecycle rules
+  (``FORK001``/``FORK002`` fork-safety, ``SIG001`` signal-handler
+  safety, ``PIPE001`` message pairing — :mod:`repro.lint.concurrency`);
+  run via
   ``python -m repro.cli lint`` (``--whole-program`` for the cross-module
   pass, ``--jobs N`` to shard across forked workers
   (:mod:`repro.lint.parallel`), ``--changed [REF]`` to scope reporting

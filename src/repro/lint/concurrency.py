@@ -1,12 +1,12 @@
-"""Concurrency layer: fork-safety, signal-handler safety, pipe typestate.
+"""Concurrency layer: fork-safety, signal-handler safety, message pairing.
 
 This is the fourth lint layer. The per-file rules see one AST, the
 protocol rules see call pairings, the dataflow layer sees value flow —
 none of them see *process lifecycle*: what crosses a ``fork``, what runs
-inside a signal handler, what state a duplex pipe is in on each CFG
-path. Since PR 6 the fleet is a real multiprocess system (warm pools,
+inside a signal handler, whether both sides of a cross-process message
+protocol exist. The fleet is a real multiprocess system (warm pools,
 duplex pipes, SIGTERM -> SIGKILL escalation), so its subtlest bugs live
-exactly there. Five rules close the gap, all driven by the same
+exactly there. Four rules close the gap, all driven by the same
 call-graph (:mod:`repro.lint.callgraph`) + CFG (:mod:`repro.lint.flow`)
 infrastructure the earlier layers built:
 
@@ -31,23 +31,17 @@ allowlist (``os._exit``, ``os.write``, ``signal.*`` re-arms, plain
 assignments). Adjudicated helpers are flagged
 ``# concurrency: signal-safe -- why``.
 
-``PIPE001`` / ``PIPE002`` — **pipe-protocol typestate**: each tracked
-``Connection`` (a ``Pipe()`` end bound to a local, or a
-``Connection``-annotated parameter of a ``Process`` target) is modeled
-as a typestate machine over the CFG: *open -> send/recv -> closed/EOF*.
-``PIPE001`` proves every normal path closes the connection or hands it
-off (stored, returned, passed to ``Process``/a callee) — plus the
-cross-process pairing check: every ``# protocol: sends[k]`` needs a
-``receives[k]`` peer somewhere in the linted project, so the pool's
-job/result message protocol cannot silently lose one side. ``PIPE002``
-proves no path uses a connection after closing it or closes it twice.
+``PIPE001`` — **cross-process message pairing**: every
+``# protocol: sends[k]`` needs a ``receives[k]`` peer somewhere in the
+linted project, so the pool's job/result message protocol cannot
+silently lose one side.
 
-Scope notes (also the soundness caveats): connection typestate tracks
-*local names* — attribute state machines that span methods
-(``self.conn`` across ``submit``/``poll``/``abort``) are out of scope,
-as are exception paths for PIPE001 (process teardown reaps fds; the
-normal-path close discipline is what the pool protocol demands).
-Suppress any rule with ``# lint: allow[RULE] -- why``.
+Pipe ends themselves are checked on the dataflow IR
+(:mod:`repro.lint.dataflow`): ``RES001`` proves every ``Pipe()`` end and
+every ``Connection`` parameter of a ``Process`` target (the set
+:func:`_process_targets` computes here) is closed or handed off, and
+``PIPE002`` proves no path uses a connection after closing it or closes
+it twice. Suppress any rule with ``# lint: allow[RULE] -- why``.
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ from repro.lint.callgraph import (
     _Typer,
     _unique_basename,
     least_fixpoint,
-    parse_annotation,
 )
 from repro.lint.core import (
     Finding,
@@ -84,11 +77,6 @@ SIGNAL_SAFE = "signal-safe"
 #: multiprocessing spell them identically).
 _LOCK_CTORS = frozenset(
     {"Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition"}
-)
-
-#: Methods that transfer payload over (or probe) an open Connection.
-_CONN_USES = frozenset(
-    {"send", "recv", "poll", "send_bytes", "recv_bytes", "recv_bytes_into"}
 )
 
 #: Dotted callables a signal handler may invoke (async-signal-safe by
@@ -115,8 +103,6 @@ _SIGNAL_SAFE_CALLS = frozenset(
 class _Aliases:
     """Names a module binds to the concurrency-relevant callables."""
 
-    mp: set[str] = field(default_factory=set)  # the multiprocessing module
-    pipe: set[str] = field(default_factory=set)  # multiprocessing.Pipe
     process: set[str] = field(default_factory=set)  # multiprocessing.Process
     signal_mod: set[str] = field(default_factory=set)  # the signal module
     signal_fn: set[str] = field(default_factory=set)  # signal.signal itself
@@ -131,7 +117,6 @@ def _scan_aliases(tree: ast.Module) -> _Aliases:
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 if alias.name == "multiprocessing":
-                    al.mp.add(bound)
                     al.lock_mods.add(bound)
                 elif alias.name == "threading":
                     al.lock_mods.add(bound)
@@ -141,9 +126,7 @@ def _scan_aliases(tree: ast.Module) -> _Aliases:
             if node.module == "multiprocessing":
                 for alias in node.names:
                     bound = alias.asname or alias.name
-                    if alias.name == "Pipe":
-                        al.pipe.add(bound)
-                    elif alias.name == "Process":
+                    if alias.name == "Process":
                         al.process.add(bound)
                     elif alias.name in _LOCK_CTORS:
                         al.lock_ctors.add(bound)
@@ -171,25 +154,6 @@ def _aliases_for(index: ProjectIndex) -> dict[str, _Aliases]:
 # -- structural detectors -----------------------------------------------------
 
 
-def _ctx_vars(fn: FunctionInfo, al: _Aliases) -> set[str]:
-    """Locals bound from ``multiprocessing.get_context()``."""
-    out: set[str] = set()
-    for stmt in iter_statements(fn.node):
-        if not isinstance(stmt, ast.Assign):
-            continue
-        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-        if not names:
-            continue
-        for sub in ast.walk(stmt.value):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "get_context"
-            ):
-                out.update(names)
-    return out
-
-
 def _is_process_ctor(call: ast.Call, al: _Aliases) -> bool:
     """``Process(...)`` — bare alias, ``multiprocessing.Process``, or any
     ``<ctx>.Process`` (contexts flow through too many locals to type)."""
@@ -197,13 +161,6 @@ def _is_process_ctor(call: ast.Call, al: _Aliases) -> bool:
     if isinstance(func, ast.Name):
         return func.id in al.process
     return isinstance(func, ast.Attribute) and func.attr == "Process"
-
-
-def _is_pipe_ctor(call: ast.Call, al: _Aliases) -> bool:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id in al.pipe
-    return isinstance(func, ast.Attribute) and func.attr == "Pipe"
 
 
 def _is_lock_ctor(call: ast.Call, al: _Aliases) -> bool:
@@ -864,400 +821,76 @@ class SignalHandlerSafetyRule(WholeProgramRule):
         return findings
 
 
-# -- PIPE001/PIPE002: Connection typestate over the CFG -----------------------
-
-
-@dataclass
-class _ConnEvents:
-    """Typestate events for one tracked connection variable."""
-
-    var: str
-    #: How the variable entered scope: "pipe" (a Pipe() end bound here)
-    #: or "param" (a Connection-annotated parameter).
-    origin: str
-    acquire_stmt: ast.stmt | None  # the Pipe() statement (origin "pipe")
-    uses: list[tuple[ast.stmt, str]] = field(default_factory=list)
-    closes: list[ast.stmt] = field(default_factory=list)
-    handoffs: list[ast.stmt] = field(default_factory=list)
-    rebinds: list[ast.stmt] = field(default_factory=list)
-
-
-class _ConnScan:
-    """Per-function scan classifying every statement's effect on each
-    tracked ``Connection`` local."""
-
-    def __init__(self, index: ProjectIndex, fn: FunctionInfo, al: _Aliases):
-        self.fn = fn
-        self.events: dict[str, _ConnEvents] = {}
-        self._track_params(fn)
-        self._track_locals(fn, al)
-        if self.events:
-            self._classify(fn)
-
-    def _track_params(self, fn: FunctionInfo) -> None:
-        args = fn.node.args
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            if parse_annotation(arg.annotation) == ("class", "Connection"):
-                self.events[arg.arg] = _ConnEvents(
-                    var=arg.arg, origin="param", acquire_stmt=None
-                )
-
-    def _track_locals(self, fn: FunctionInfo, al: _Aliases) -> None:
-        for stmt in iter_statements(fn.node):
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                if parse_annotation(stmt.annotation) == (
-                    "class",
-                    "Connection",
-                ):
-                    self.events[stmt.target.id] = _ConnEvents(
-                        var=stmt.target.id, origin="pipe", acquire_stmt=stmt
-                    )
-            if not isinstance(stmt, ast.Assign):
-                continue
-            if not (
-                isinstance(stmt.value, ast.Call)
-                and _is_pipe_ctor(stmt.value, al)
-            ):
-                continue
-            for target in stmt.targets:
-                elts = (
-                    target.elts
-                    if isinstance(target, (ast.Tuple, ast.List))
-                    else [target]
-                )
-                for elt in elts:
-                    if isinstance(elt, ast.Name):
-                        self.events[elt.id] = _ConnEvents(
-                            var=elt.id, origin="pipe", acquire_stmt=stmt
-                        )
-
-    def _classify(self, fn: FunctionInfo) -> None:
-        tracked = set(self.events)
-        for stmt in iter_statements(fn.node):
-            # Rebinds (a fresh object under the same name resets state).
-            # A for-loop target rebinds on every iteration; so does
-            # re-executing the Pipe() acquisition inside a loop.
-            if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                for name in self._bound_names(stmt.target):
-                    if name in tracked:
-                        self.events[name].rebinds.append(stmt)
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id in tracked
-                        and self.events[target.id].acquire_stmt is not stmt
-                    ):
-                        self.events[target.id].rebinds.append(stmt)
-                # Stores into attributes/containers hand ownership off,
-                # as does aliasing into a container display (the escape
-                # idiom the dataflow layer's RES001 recognizes too).
-                if isinstance(stmt.value, ast.Name) and stmt.value.id in tracked:
-                    if any(
-                        not isinstance(t, ast.Name) for t in stmt.targets
-                    ):
-                        self.events[stmt.value.id].handoffs.append(stmt)
-                elif isinstance(stmt.value, (ast.Tuple, ast.List)):
-                    for name in self._direct_names(stmt.value):
-                        if name in tracked:
-                            self.events[name].handoffs.append(stmt)
-            if isinstance(stmt, ast.Return) and stmt.value is not None:
-                for name in self._direct_names(stmt.value):
-                    if name in tracked:
-                        self.events[name].handoffs.append(stmt)
-            for root in executed_exprs(stmt):
-                if root is None:
-                    continue
-                for sub in ast.walk(root):
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    func = sub.func
-                    if (
-                        isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id in tracked
-                    ):
-                        if func.attr == "close":
-                            self.events[func.value.id].closes.append(stmt)
-                        elif func.attr in _CONN_USES:
-                            self.events[func.value.id].uses.append(
-                                (stmt, func.attr)
-                            )
-                    # The connection passed onward (Process args, callee).
-                    for arg in list(sub.args) + [
-                        kw.value for kw in sub.keywords
-                    ]:
-                        for name in self._direct_names(arg):
-                            if name in tracked:
-                                self.events[name].handoffs.append(stmt)
-
-    @staticmethod
-    def _direct_names(expr: ast.AST) -> list[str]:
-        """Names passed *directly* (bare, or one level inside a
-        tuple/list literal) — receiver positions don't count."""
-        if isinstance(expr, ast.Name):
-            return [expr.id]
-        if isinstance(expr, (ast.Tuple, ast.List)):
-            return [e.id for e in expr.elts if isinstance(e, ast.Name)]
-        return []
-
-    @staticmethod
-    def _bound_names(target: ast.AST) -> list[str]:
-        if isinstance(target, ast.Name):
-            return [target.id]
-        if isinstance(target, (ast.Tuple, ast.List)):
-            return [e.id for e in target.elts if isinstance(e, ast.Name)]
-        return []
-
-
-def _pipe_analysis(index: ProjectIndex) -> dict[str, list[Finding]]:
-    """Both PIPE rules share one scan; memoized on the index."""
-    cached = getattr(index, "_pipe_findings", None)
-    if cached is not None:
-        return cached
-    aliases = _aliases_for(index)
-    targets = _process_targets(index)
-    findings: dict[str, list[Finding]] = {"PIPE001": [], "PIPE002": []}
-    for fn in index.functions.values():
-        al = aliases.get(fn.path)
-        if al is None:
-            continue
-        scan = _ConnScan(index, fn, al)
-        if not scan.events:
-            continue
-        cfg = build_cfg(fn.node)
-        for ev in scan.events.values():
-            _check_lifecycle(index, fn, cfg, ev, targets, findings["PIPE001"])
-            _check_typestate(index, fn, cfg, ev, findings["PIPE002"])
-    findings["PIPE001"].extend(_check_pairing(index))
-    index._pipe_findings = findings  # type: ignore[attr-defined]
-    return findings
-
-
-def _stmt_nodes(cfg: Cfg, stmts: list[ast.stmt]) -> set[int]:
-    nodes: set[int] = set()
-    for stmt in stmts:
-        nodes.update(cfg.nodes_for(stmt))
-    return nodes
-
-
-def _check_lifecycle(
-    index: ProjectIndex,
-    fn: FunctionInfo,
-    cfg: Cfg,
-    ev: _ConnEvents,
-    targets: set[str],
-    out: list[Finding],
-) -> None:
-    """PIPE001: every normal path closes or hands off the connection."""
-    sinks = _stmt_nodes(cfg, ev.closes + ev.handoffs + ev.rebinds)
-    if ev.origin == "param":
-        # Only child-process mains own their Connection parameters; a
-        # borrowed connection (helper that just sends) has no obligation.
-        if fn.qualname not in targets:
-            return
-        path = find_unprotected_path(
-            cfg, cfg.entry, sinks, inclusive=True
-        )
-        anchor: ast.AST = fn.node
-        role = f"Connection parameter `{ev.var}` of Process target"
-    else:
-        if ev.acquire_stmt is None:
-            return
-        path = None
-        for node in cfg.nodes_for(ev.acquire_stmt):
-            path = find_unprotected_path(cfg, node, sinks)
-            if path is not None:
-                break
-        anchor = ev.acquire_stmt
-        role = f"Connection `{ev.var}` from Pipe()"
-    if path is None:
-        return
-    where = " -> ".join(cfg.describe(n) for n in path)
-    out.append(
-        _finding(
-            index,
-            "PIPE001",
-            fn,
-            anchor,
-            f"{role} can reach function exit still open "
-            f"(unprotected path: {where}); every pool/supervisor path "
-            f"must .close() it or hand it off (store/return/pass on)",
-        )
-    )
-
-
-def _check_typestate(
-    index: ProjectIndex,
-    fn: FunctionInfo,
-    cfg: Cfg,
-    ev: _ConnEvents,
-    out: list[Finding],
-) -> None:
-    """PIPE002: no use-after-close, no double-close, on any path."""
-    close_nodes = _stmt_nodes(cfg, ev.closes)
-    use_nodes: dict[int, str] = {}
-    for stmt, what in ev.uses:
-        for node in cfg.nodes_for(stmt):
-            use_nodes[node] = what
-    blockers = _stmt_nodes(cfg, ev.rebinds + ev.handoffs)
-    if ev.acquire_stmt is not None:
-        # Looping back through the Pipe() acquisition binds a fresh end.
-        blockers |= set(cfg.nodes_for(ev.acquire_stmt))
-    reported: set[tuple] = set()
-    for start in sorted(close_nodes):
-        frontier = sorted(cfg.successors(start), reverse=True)
-        visited: set[int] = set()
-        while frontier:
-            node = frontier.pop()
-            if node in visited or node in blockers:
-                continue
-            visited.add(node)
-            if node in (Cfg.EXIT, Cfg.RAISE):
-                continue
-            hit: str | None = None
-            if node in use_nodes:
-                hit = f".{use_nodes[node]}() after .close()"
-            elif node in close_nodes:
-                hit = "second .close() (double close)"
-            if hit is not None:
-                stmt = cfg.nodes[node]
-                key = (ev.var, getattr(stmt, "lineno", 0), hit)
-                if key not in reported:
-                    reported.add(key)
-                    out.append(
-                        _finding(
-                            index,
-                            "PIPE002",
-                            fn,
-                            stmt,
-                            f"Connection `{ev.var}`: {hit} — the "
-                            f"typestate open -> send/recv -> closed "
-                            f"admits no transition out of closed",
-                        )
-                    )
-                continue  # a bad state is its own stop: report once
-            frontier.extend(
-                s for s in sorted(cfg.successors(node), reverse=True)
-                if s not in visited
-            )
-
-
-def _check_pairing(index: ProjectIndex) -> list[Finding]:
-    """Every ``sends[k]`` marker needs a ``receives[k]`` peer somewhere
-    in the linted project, and vice versa — the cross-process half of
-    the protocol layer's pairing discipline."""
-    senders: dict[str, list[FunctionInfo]] = {}
-    receivers: dict[str, list[FunctionInfo]] = {}
-    for fn in index.functions.values():
-        for key in fn.marker_keys("sends"):
-            senders.setdefault(key, []).append(fn)
-        for key in fn.marker_keys("receives"):
-            receivers.setdefault(key, []).append(fn)
-    findings: list[Finding] = []
-    for key in sorted(set(senders) - set(receivers)):
-        for fn in senders[key]:
-            findings.append(
-                _finding(
-                    index,
-                    "PIPE001",
-                    fn,
-                    fn.node,
-                    f"marked sends[{key}] but no function in the linted "
-                    f"project is marked receives[{key}]; the "
-                    f"cross-process message protocol is one-sided",
-                )
-            )
-    for key in sorted(set(receivers) - set(senders)):
-        for fn in receivers[key]:
-            findings.append(
-                _finding(
-                    index,
-                    "PIPE001",
-                    fn,
-                    fn.node,
-                    f"marked receives[{key}] but no function in the "
-                    f"linted project is marked sends[{key}]; the "
-                    f"cross-process message protocol is one-sided",
-                )
-            )
-    return findings
+# -- PIPE001: cross-process message pairing ----------------------------------
 
 
 @register_whole_program_rule
-class ConnectionLifecycleRule(WholeProgramRule):
-    """PIPE001: every pool/supervisor path closes or hands off each
-    tracked ``Connection``.
+class MessagePairingRule(WholeProgramRule):
+    """PIPE001: every cross-process message marker has a peer.
 
-    Tracked connections: ``Pipe()`` ends bound to locals, and
-    ``Connection``-annotated parameters of functions used as
-    ``Process(target=...)`` — the child-process mains, which own their
-    end of the duplex pipe by the pool protocol. On every **normal**
-    path (exception paths are excused: process teardown reaps fds, and
-    the supervisor detects the EOF) the connection must be ``.close()``d
-    or handed off — stored on an attribute, returned, or passed onward
-    (``Process`` ``args=``, a callee).
-
-    The rule also enforces the cross-process pairing discipline: a
-    function marked ``# protocol: sends[job]`` requires a
+    A function marked ``# protocol: sends[job]`` requires a
     ``receives[job]`` peer somewhere in the linted project (and
-    ``receives`` requires ``sends``), extending the PR-5 call-pairing
-    rule across the process boundary.
+    ``receives`` requires ``sends``), extending the protocol layer's
+    call-pairing rule across the process boundary: the pool's job/result
+    message protocol cannot silently lose one side. Pipe-end lifecycles
+    are ``RES001``'s and the pipe typestate is ``PIPE002``'s, both in
+    :mod:`repro.lint.dataflow`.
 
-    Caveat: only local names are tracked — ``self.conn`` state machines
-    spanning methods are out of scope. Suppress with
-    ``# lint: allow[PIPE001] -- why``.
+    Suppress with ``# lint: allow[PIPE001] -- why``.
     """
 
     name = "PIPE001"
     description = (
-        "a Connection (Pipe() end or Process-target parameter) can reach "
-        "function exit neither closed nor handed off, or a "
-        "sends[k]/receives[k] protocol marker has no peer"
+        "a '# protocol: sends[k]' or 'receives[k]' cross-process message "
+        "marker has no peer in the linted project"
     )
 
     def run(self, index: ProjectIndex) -> list[Finding]:
-        return list(_pipe_analysis(index)["PIPE001"])
-
-
-@register_whole_program_rule
-class ConnectionTypestateRule(WholeProgramRule):
-    """PIPE002: no path uses a ``Connection`` after close, or closes it
-    twice.
-
-    The typestate machine is *open -> send/recv/poll -> closed*; closed
-    has no outgoing transitions. A ``.recv()`` after ``.close()`` raises
-    ``OSError`` at runtime — in a pool worker that turns a clean
-    shutdown into a crash outcome and a wasted recycle; a double
-    ``.close()`` usually means two owners disagree about who ends the
-    connection's life. Re-binding the name to a fresh ``Pipe()`` end
-    resets the machine; handing the connection off ends tracking.
-
-    Suppress with ``# lint: allow[PIPE002] -- why``.
-    """
-
-    name = "PIPE002"
-    description = (
-        "a CFG path sends/recvs on a Connection after .close(), or "
-        "closes it twice; the pipe typestate admits neither"
-    )
-
-    def run(self, index: ProjectIndex) -> list[Finding]:
-        return list(_pipe_analysis(index)["PIPE002"])
+        senders: dict[str, list[FunctionInfo]] = {}
+        receivers: dict[str, list[FunctionInfo]] = {}
+        for fn in index.functions.values():
+            for key in fn.marker_keys("sends"):
+                senders.setdefault(key, []).append(fn)
+            for key in fn.marker_keys("receives"):
+                receivers.setdefault(key, []).append(fn)
+        findings: list[Finding] = []
+        for key in sorted(set(senders) - set(receivers)):
+            for fn in senders[key]:
+                findings.append(
+                    _finding(
+                        index,
+                        self.name,
+                        fn,
+                        fn.node,
+                        f"marked sends[{key}] but no function in the linted "
+                        f"project is marked receives[{key}]; the "
+                        f"cross-process message protocol is one-sided",
+                    )
+                )
+        for key in sorted(set(receivers) - set(senders)):
+            for fn in receivers[key]:
+                findings.append(
+                    _finding(
+                        index,
+                        self.name,
+                        fn,
+                        fn.node,
+                        f"marked receives[{key}] but no function in the "
+                        f"linted project is marked sends[{key}]; the "
+                        f"cross-process message protocol is one-sided",
+                    )
+                )
+        return findings
 
 
 def prewarm(index: ProjectIndex) -> None:
     """Materialize this layer's shared memos on ``index``.
 
     The parallel driver calls this in the parent before forking the
-    whole-program rule sweep: the per-module alias scan, the
-    ``Process(target=...)`` closure set and the whole pipe-typestate
-    analysis are each computed once here and inherited by every rule
-    worker through copy-on-write memory, instead of being redundantly
-    recomputed inside each forked shard.
+    whole-program rule sweep: the per-module alias scan and the
+    ``Process(target=...)`` closure set are each computed once here and
+    inherited by every rule worker through copy-on-write memory, instead
+    of being redundantly recomputed inside each forked shard.
     """
     _aliases_for(index)
     _process_targets(index)
-    _pipe_analysis(index)

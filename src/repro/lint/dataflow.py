@@ -10,7 +10,7 @@ CFGs of :mod:`repro.lint.flow` and the call graph of
 :func:`repro.lint.callgraph.least_fixpoint` over the call graph plus
 attribute writer -> reader edges.
 
-Three rules ride on it:
+Four rules ride on it:
 
 ``DETFLOW001`` — a *nondeterministic value* (wall clock, OS entropy,
 ``os.getpid()``, ``id()``, an unseeded RNG) reaches a *determinism
@@ -24,9 +24,11 @@ started ``Process``, a bare ``open()`` file) has a CFG path — raise
 edges included — that reaches a terminal without the handle being
 released (``.close()`` / ``.join()``), escaping (stored on ``self``,
 returned, handed to an unknown callee or a callee whose summary releases
-it), or being managed by ``with``. The same rule pins the supervisor's
-reaping discipline: every ``.terminate()`` / ``.kill()`` must be
-followed by ``.join()`` on every normal path.
+it), or being managed by ``with``. A ``Connection`` parameter of a
+``Process`` target is acquired at entry and must be released on every
+normal path. The same rule pins the supervisor's reaping discipline:
+every ``.terminate()`` / ``.kill()`` must be followed by ``.join()`` on
+every normal path.
 
 ``RES002`` — a temp file created for atomic publication (a path whose
 name contains ``.tmp``, written via ``open()``/``write_text``) must
@@ -34,6 +36,10 @@ reach ``os.replace``/``.rename``/``.unlink`` on every **normal** path.
 Exception paths are excused: the fleet cache's documented stale-tmp
 sweep (``ResultCache.put``) reclaims those, and RES002 verifies exactly
 that pairing of disciplines.
+
+``PIPE002`` — a ``Connection`` (a ``Pipe()`` end or a
+``Connection``-annotated parameter) is used (``send``/``recv``/``poll``)
+or closed again on a path after ``.close()``.
 
 Set-iteration *order* is not tracked here: every place where it could
 enter a value — a ``for``/``async for``, a list/dict/generator comprehension,
@@ -76,7 +82,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.lint.callgraph import FunctionInfo, ProjectIndex, least_fixpoint
+from repro.lint.callgraph import (
+    FunctionInfo,
+    ProjectIndex,
+    least_fixpoint,
+    parse_annotation,
+)
+from repro.lint.concurrency import _process_targets
 from repro.lint.core import (
     Finding,
     ParsedModule,
@@ -91,11 +103,15 @@ from repro.lint.flow import (
     iter_statements,
 )
 from repro.lint.parallel import fork_map
-from repro.lint.rules_determinism import _BANNED_CALLS
+from repro.lint.rules_determinism import (
+    _BANNED_CALLS,
+    _TRACKED_MODULES,
+    _canonical,
+)
 
 #: Cache entry schema — part of every entry and of the ABI digest, so an
 #: engine change invalidates every cached summary at once.
-IR_SCHEMA = "repro-lint-dataflow/2"
+IR_SCHEMA = "repro-lint-dataflow/3"
 
 #: Environment override for the summary-cache directory.
 CACHE_ENV = "REPRO_LINT_CACHE_DIR"
@@ -125,6 +141,11 @@ _TAINT_STOPPERS = frozenset(
 #: Builtins whose result carries exactly their arguments' taint.
 _TAINT_PASSERS = frozenset({"sorted", "set", "frozenset"})
 
+#: Methods that transfer payload over (or probe) an open Connection.
+_CONN_USES = frozenset(
+    {"send", "recv", "poll", "send_bytes", "recv_bytes", "recv_bytes_into"}
+)
+
 #: Method names that mutate their receiver in place (taint carriers, and
 #: container-escape sinks for handles).
 _MUTATORS = frozenset(
@@ -135,8 +156,6 @@ _MUTATORS = frozenset(
 def _tracked_aliases(tree: ast.Module) -> dict[str, str]:
     """local name -> canonical dotted module, for source/resource tables."""
     aliases: dict[str, str] = {}
-    from repro.lint.rules_determinism import _TRACKED_MODULES
-
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -154,20 +173,6 @@ def _tracked_aliases(tree: ast.Module) -> dict[str, str]:
                             f"multiprocessing.{alias.name}"
                         )
     return aliases
-
-
-def _canonical(expr: ast.AST, aliases: dict[str, str]) -> str | None:
-    if isinstance(expr, ast.Name):
-        return aliases.get(expr.id)
-    if isinstance(expr, ast.Attribute):
-        base = _canonical(expr.value, aliases)
-        if base is not None:
-            dotted = f"{base}.{expr.attr}"
-            from repro.lint.rules_determinism import _TRACKED_MODULES
-
-            if dotted in _TRACKED_MODULES:
-                return dotted
-    return None
 
 
 def _nondet_desc(call: ast.Call, aliases: dict[str, str]) -> str | None:
@@ -248,13 +253,17 @@ class _FunctionExtractor:
             "callpass": [],
             "terminates": [],
             "joins": [],
+            "conn_ops": [],
+            "rebinds": [],
         }
         self._counter = 0
         self._call_nodes: dict[int, set[str]] = {}  # id(ast.Call) -> dep nodes
-        # Names holding ".tmp" paths / mp contexts / mp Process objects.
+        # Names holding ".tmp" paths / mp contexts / mp Process objects /
+        # Connections (Pipe() ends and Connection-annotated parameters).
         self.tmpvars: set[str] = set()
         self.ctxvars: set[str] = set()
         self.procvars: set[str] = set()
+        self.connvars: set[str] = set()
         self._prescan()
 
     # -- small helpers --------------------------------------------------------
@@ -301,6 +310,27 @@ class _FunctionExtractor:
                         self.ctxvars.update(names)
                 if self._mp_call_kind(sub) == "process":
                     self.procvars.update(names)
+        args = self.fn.node.args
+        self.connparams = [
+            a.arg
+            for a in args.posonlyargs + args.args + args.kwonlyargs
+            if parse_annotation(a.annotation) == ("class", "Connection")
+        ]
+        self.connvars.update(self.connparams)
+        for stmt in iter_statements(self.fn.node):
+            self.connvars.update(self._pipe_ends(stmt))
+
+    def _pipe_ends(self, stmt: ast.stmt) -> list[str]:
+        """Names ``stmt`` unpacks a ``Pipe()`` into (``a, b = Pipe()``)."""
+        if not isinstance(stmt, ast.Assign) or self._mp_call_kind(stmt.value) != "pipe":
+            return []
+        return [
+            elt.id
+            for target in stmt.targets
+            if isinstance(target, (ast.Tuple, ast.List))
+            for elt in target.elts
+            if isinstance(elt, ast.Name)
+        ]
 
     def _mp_call_kind(self, expr: ast.AST) -> str | None:
         """"pipe"/"process" when ``expr`` constructs that mp object."""
@@ -430,6 +460,13 @@ class _FunctionExtractor:
         for extra in (params["vararg"], params["kwarg"]):
             if extra:
                 self._edge(f"v:{extra}", {f"p:{extra}"})
+        # A Connection parameter is owned from entry when the function is
+        # a Process target; RES001 decides that against the whole program.
+        for name in self.connparams:
+            self._acquire(
+                self.fn.node, name, "conn-param", "Connection parameter",
+                node_ids=[self.cfg.entry],
+            )
         for stmt in iter_statements(self.fn.node):
             self._stmt(stmt)
             self._resources(stmt)
@@ -521,22 +558,31 @@ class _FunctionExtractor:
             for sub in ast.walk(root if isinstance(root, ast.AST) else stmt):
                 if isinstance(sub, ast.Call):
                     self._resource_call(stmt, sub, in_with=id(sub) in with_exprs)
+        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._rebind(stmt, stmt.target)
         if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    self._rebind(stmt, target)
             self._resource_assign(stmt)
         elif isinstance(stmt, (ast.Return,)) and stmt.value is not None:
             for name in _names_in(stmt.value):
                 self._escape(stmt, name, "returned")
 
+    def _rebind(self, stmt: ast.stmt, target: ast.AST) -> None:
+        """A Connection name bound to a fresh value (PIPE002 stops there)."""
+        elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+        for elt in elts:
+            if isinstance(elt, ast.Name) and elt.id in self.connvars:
+                self.res["rebinds"].append(
+                    {"node_ids": self._node_ids(stmt), "var": elt.id}
+                )
+
     def _resource_assign(self, stmt: ast.Assign) -> None:
-        kind = self._mp_call_kind(stmt.value)
-        if kind == "pipe":
-            for target in stmt.targets:
-                elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else []
-                for elt in elts:
-                    if isinstance(elt, ast.Name):
-                        self._acquire(stmt, elt.id, "pipe", "pipe end")
-                    # A pipe end landing directly on an attribute has
-                    # escaped at birth — the object owns it now.
+        # A pipe end landing directly on an attribute has escaped at
+        # birth — the object owns it now — so only named ends count.
+        for name in self._pipe_ends(stmt):
+            self._acquire(stmt, name, "pipe", "pipe end")
         # Escape by aliasing/containment: the raw value (or a container
         # holding it) now has a second name we don't track.
         target = stmt.targets[0]
@@ -596,6 +642,18 @@ class _FunctionExtractor:
                     {"node_ids": self._node_ids(stmt), "recv": recv_text}
                 )
             if isinstance(recv, ast.Name):
+                if recv.id in self.connvars and (
+                    func.attr == "close" or func.attr in _CONN_USES
+                ):
+                    self.res["conn_ops"].append(
+                        {
+                            "node_ids": self._node_ids(stmt),
+                            "var": recv.id,
+                            "op": func.attr,
+                            "line": stmt.lineno,
+                            "col": stmt.col_offset,
+                        }
+                    )
                 if func.attr in ("close", "join", "terminate", "kill"):
                     self.res["releases"].append(
                         {
@@ -666,11 +724,18 @@ class _FunctionExtractor:
             return stmt.targets[0].id
         return None
 
-    def _acquire(self, stmt: ast.stmt, var: str, kind: str, desc: str) -> None:
+    def _acquire(
+        self,
+        stmt: ast.stmt,
+        var: str,
+        kind: str,
+        desc: str,
+        node_ids: list[int] | None = None,
+    ) -> None:
         line = getattr(stmt, "lineno", self.fn.lineno)
         self.res["acquires"].append(
             {
-                "node_ids": self._node_ids(stmt),
+                "node_ids": self._node_ids(stmt) if node_ids is None else node_ids,
                 "var": var,
                 "kind": kind,
                 "desc": desc,
@@ -687,7 +752,19 @@ class _FunctionExtractor:
 
 
 def _names_in(expr: ast.AST) -> set[str]:
-    return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    """Names whose value ``expr`` may carry on: every name in it except
+    a method-call receiver (``f(conn.recv())`` passes the message, not
+    ``conn``)."""
+    receivers = {
+        id(n.func.value)
+        for n in ast.walk(expr)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    }
+    return {
+        n.id
+        for n in ast.walk(expr)
+        if isinstance(n, ast.Name) and id(n) not in receivers
+    }
 
 
 def _container_names(expr: ast.AST) -> set[str]:
@@ -841,18 +918,29 @@ def abi_digest(index: ProjectIndex) -> str:
 # at each call site — that substitution *is* the per-function summary.
 
 
+def _add_sink(sinks: dict[str, str], param: str, desc: str) -> None:
+    """Record that ``param`` reaches the sink ``desc``, keeping the
+    shortest description (ties: the lexicographically least) so the
+    result does not depend on the order sinks are discovered in."""
+    old = sinks.get(param)
+    if old is None or (len(desc), desc) < (len(old), old):
+        sinks[param] = desc
+
+
 @dataclass
 class _Summary:
     ret_tokens: set[tuple] = field(default_factory=set)
-    #: param name -> description of the sink it reaches.
+    #: param name -> description of the sink it reaches (see _add_sink).
     sink_params: dict[str, str] = field(default_factory=dict)
     releases: set[str] = field(default_factory=set)
     stores: set[str] = field(default_factory=set)
 
     def snapshot(self) -> tuple:
+        # Descriptions only ever shrink, so including them keeps the
+        # fixpoint finite while revisiting readers when one does.
         return (
             frozenset(self.ret_tokens),
-            frozenset(self.sink_params),
+            frozenset(self.sink_params.items()),
             frozenset(self.releases),
             frozenset(self.stores),
         )
@@ -871,6 +959,7 @@ class ProjectDataflow:
             "DETFLOW001": [],
             "RES001": [],
             "RES002": [],
+            "PIPE002": [],
         }
         self.stats: dict[str, Any] = {
             "modules": 0,
@@ -1063,10 +1152,10 @@ class ProjectDataflow:
             if ir is not None:
                 params = ir["params"]
                 for p in params["pos"] + params["kwonly"]:
-                    out.setdefault(p, f"{qualname}()")
+                    _add_sink(out, p, f"{qualname}()")
                 for extra in (params["vararg"], params["kwarg"]):
                     if extra:
-                        out.setdefault(extra, f"{qualname}()")
+                        _add_sink(out, extra, f"{qualname}()")
         return out
 
     def _solve_summaries(self) -> None:
@@ -1108,7 +1197,7 @@ class ProjectDataflow:
         if own_sink:
             for tok in env.get("ret", set()):
                 if tok[0] == "param":
-                    summary.sink_params.setdefault(tok[1], f"{qualname}()")
+                    _add_sink(summary.sink_params, tok[1], f"{qualname}()")
         for call in ir["calls"]:
             for q in call["refs"]:
                 sink_params = self._sink_param_names(q)
@@ -1121,7 +1210,7 @@ class ProjectDataflow:
                 for sp, desc in sink_params.items():
                     for tok in pmap.get(sp, set()):
                         if tok[0] == "param":
-                            summary.sink_params.setdefault(tok[1], desc)
+                            _add_sink(summary.sink_params, tok[1], desc)
         # Resource effects.
         params = set(
             ir["params"]["pos"]
@@ -1162,11 +1251,14 @@ class ProjectDataflow:
 
     def _collect_findings(self) -> None:
         seen: set[tuple] = set()
+        # Process targets are a whole-program fact, so they are resolved
+        # here rather than baked into any one module's cached IR.
+        targets = _process_targets(self.index)
         for qualname in sorted(self.irs):
             ir = self.irs[qualname]
             env = self._eval(ir)
             self._taint_findings(qualname, ir, env, seen)
-            self._resource_findings(qualname, ir)
+            self._resource_findings(qualname, ir, targets)
         for rule in self.findings:
             self.findings[rule].sort(key=lambda f: (f.path, f.line, f.col, f.message))
 
@@ -1224,10 +1316,13 @@ class ProjectDataflow:
                                 seen,
                             )
 
-    def _resource_findings(self, qualname: str, ir: dict) -> None:
+    def _resource_findings(
+        self, qualname: str, ir: dict, targets: set[str]
+    ) -> None:
         if not (ir["res"]["acquires"] or ir["res"]["terminates"]):
             return
         cfg = _thaw_cfg(ir["cfg"])
+        self._typestate_findings(qualname, ir, cfg)
         params = set(ir["params"]["pos"] + ir["params"]["kwonly"])
         by_var_sinks: dict[str, set[int]] = {}
 
@@ -1259,24 +1354,39 @@ class ProjectDataflow:
             return sinks
 
         for acq in ir["res"]["acquires"]:
-            if acq["var"] in params:
-                continue  # the caller owns handles it passed in
+            # A child main owns its Connection parameter by the pool
+            # protocol; any other caller keeps the handles it passed in.
+            owned_param = acq["kind"] == "conn-param"
+            if owned_param:
+                if qualname not in targets:
+                    continue
+            elif acq["var"] in params:
+                continue
             rule = "RES002" if acq["kind"] == "tmpfile" else "RES001"
-            count_exc = acq["kind"] != "tmpfile"
+            # Process teardown reaps a child main's fds; the stale-tmp
+            # sweep reclaims tmp files: both excuse raise edges.
+            count_exc = acq["kind"] not in ("tmpfile", "conn-param")
             sinks = sinks_for(acq["var"])
             violation = None
             for node in acq["node_ids"]:
                 violation = find_unprotected_path(
-                    cfg, node, sinks, count_exception_paths=count_exc
+                    cfg,
+                    node,
+                    sinks,
+                    inclusive=owned_param,
+                    count_exception_paths=count_exc,
                 )
                 if violation is not None:
                     break
             if violation is None:
                 continue
             where = _describe_path(ir["cfg"], violation)
+            subject = f"{acq['desc']} `{acq['var']}` " + (
+                f"of Process target {qualname}" if owned_param else "acquired here"
+            )
             if rule == "RES001":
                 message = (
-                    f"{acq['desc']} `{acq['var']}` acquired here can leak: "
+                    f"{subject} can leak: "
                     f"a path ({where}) reaches "
                     f"{'a raise or ' if count_exc else ''}function exit "
                     f"without .close()/.join(), an ownership transfer, or a "
@@ -1328,6 +1438,78 @@ class ProjectDataflow:
                     context=rec["context"],
                 )
             )
+
+    def _typestate_findings(self, qualname: str, ir: dict, cfg: Cfg) -> None:
+        """PIPE002: no path from a ``.close()`` reaches a use or a second
+        close of the same Connection. Each search stops at the first bad
+        node it finds; that node then blocks the next search, so every
+        bad node reachable from the close is reported once. Rebinds,
+        escapes, every call handed the connection and the ``Pipe()``
+        acquisition end the search too."""
+        res = ir["res"]
+        for var in sorted({rec["var"] for rec in res["conn_ops"]}):
+            uses: dict[int, str] = {}
+            closes: set[int] = set()
+            at: dict[int, tuple[int, int]] = {}
+            for rec in res["conn_ops"]:
+                if rec["var"] != var:
+                    continue
+                for n in rec["node_ids"]:
+                    at[n] = (rec["line"], rec["col"])
+                    if rec["op"] == "close":
+                        closes.add(n)
+                    else:
+                        uses[n] = rec["op"]
+            if not closes:
+                continue
+            blockers = {
+                n
+                for key in ("rebinds", "escapes", "callpass")
+                for rec in res[key]
+                if rec["var"] == var
+                for n in rec["node_ids"]
+            }
+            # Looping back through the Pipe() acquisition binds a fresh end.
+            blockers.update(
+                n
+                for acq in res["acquires"]
+                if acq["var"] == var and acq["kind"] == "pipe"
+                for n in acq["node_ids"]
+            )
+            goals = set(at)
+            reported: set[tuple] = set()
+            for start in sorted(closes):
+                stops = set(blockers)
+                while True:
+                    path = find_unprotected_path(
+                        cfg, start, stops, goals=goals, count_exception_paths=True
+                    )
+                    if path is None:
+                        break
+                    node = path[-1]
+                    stops.add(node)
+                    if node in uses:
+                        hit = f".{uses[node]}() after .close()"
+                    else:
+                        hit = "second .close() (double close)"
+                    line, col = at[node]
+                    if (line, hit) in reported:
+                        continue
+                    reported.add((line, hit))
+                    self.findings["PIPE002"].append(
+                        Finding(
+                            rule="PIPE002",
+                            path=ir["path"],
+                            line=line,
+                            col=col,
+                            message=(
+                                f"{qualname}: Connection `{var}`: {hit} — the "
+                                f"typestate open -> send/recv -> closed admits "
+                                f"no transition out of closed"
+                            ),
+                            context=self._context_for(ir["path"], line),
+                        )
+                    )
 
 
 def _callpass_target(rec: dict, callee_ir: dict) -> str | None:
@@ -1451,6 +1633,12 @@ class HandleLeakRule(_DataflowRule):
     unknown callee or to a callee whose summary releases/stores that
     parameter), or be managed by ``with``.
 
+    A ``Connection``-annotated parameter of a ``Process(target=...)``
+    function is acquired at entry: the child main owns its pipe end by
+    the pool protocol. Its raise edges are excused — process teardown
+    reaps the fd — so only normal paths must close or hand it off. A
+    helper that merely borrows a ``Connection`` has no obligation.
+
     The same rule checks reaping: every ``.terminate()``/``.kill()``
     must be followed by ``.join()`` on the same receiver on every normal
     path — the supervisor's SIGTERM -> SIGKILL escalation stays honest
@@ -1463,8 +1651,34 @@ class HandleLeakRule(_DataflowRule):
 
     name = "RES001"
     description = (
-        "acquired handle (pipe/process/file) can reach function exit "
-        "or a raise without close/join/ownership-transfer"
+        "acquired handle (pipe end, Process-target Connection parameter, "
+        "process, file) can reach function exit or a raise without "
+        "close/join/ownership-transfer"
+    )
+
+
+@register_whole_program_rule
+class ConnectionTypestateRule(_DataflowRule):
+    """PIPE002: no path uses a ``Connection`` after close, or closes it
+    twice.
+
+    Tracked connections are ``RES001``'s: ``Pipe()`` ends bound to
+    locals and ``Connection``-annotated parameters. The typestate machine
+    is *open -> send/recv/poll -> closed*; closed has no outgoing
+    transitions. A ``.recv()`` after ``.close()`` raises ``OSError`` at
+    runtime — in a pool worker that turns a clean shutdown into a crash
+    outcome and a wasted recycle; a double ``.close()`` usually means two
+    owners disagree about who ends the connection's life. Re-binding the
+    name resets the machine; handing the connection off (an escape or a
+    call argument) ends tracking.
+
+    Suppress with ``# lint: allow[PIPE002] -- why``.
+    """
+
+    name = "PIPE002"
+    description = (
+        "a CFG path sends/recvs on a Connection after .close(), or "
+        "closes it twice; the pipe typestate admits neither"
     )
 
 

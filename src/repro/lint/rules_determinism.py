@@ -74,6 +74,21 @@ _ORDER_INSENSITIVE_SINKS = frozenset(
 _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate", "iter"})
 
 
+def _canonical(expr: ast.AST, aliases: dict[str, str]) -> str | None:
+    """Canonical module for ``expr`` when it names a tracked module,
+    following one attribute hop (``np.random`` -> ``numpy.random``).
+    ``aliases`` maps local names to canonical dotted modules."""
+    if isinstance(expr, ast.Name):
+        return aliases.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        base = _canonical(expr.value, aliases)
+        if base is not None:
+            dotted = f"{base}.{expr.attr}"
+            if dotted in _TRACKED_MODULES:
+                return dotted
+    return None
+
+
 class _AliasTracker(Rule):
     """Shared import-alias bookkeeping for the determinism rules."""
 
@@ -90,19 +105,6 @@ class _AliasTracker(Rule):
                 )
         self.generic_visit(node)
 
-    def _canonical(self, expr: ast.AST) -> str | None:
-        """Canonical module for ``expr`` when it names a tracked module,
-        following one attribute hop (``np.random`` -> ``numpy.random``)."""
-        if isinstance(expr, ast.Name):
-            return self.aliases.get(expr.id)
-        if isinstance(expr, ast.Attribute):
-            base = self._canonical(expr.value)
-            if base is not None:
-                dotted = f"{base}.{expr.attr}"
-                if dotted in _TRACKED_MODULES:
-                    return dotted
-        return None
-
 
 @register_rule
 class UnseededEntropyRule(_AliasTracker):
@@ -117,7 +119,7 @@ class UnseededEntropyRule(_AliasTracker):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
-            owner = self._canonical(func.value)
+            owner = _canonical(func.value, self.aliases)
             if owner is not None:
                 self._check_module_call(node, owner, func.attr)
         self.generic_visit(node)

@@ -1,4 +1,4 @@
-"""Seeded PIPE001 violations: an open escape path, and a one-sided marker.
+"""Seeded RES001 + PIPE001 violations: an open exit path, a one-sided marker.
 
 ``worker_broken`` is a pool-shaped child main: it drains job items off
 its ``Connection`` until the ``None`` sentinel — but the sentinel path

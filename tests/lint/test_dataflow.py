@@ -225,6 +225,48 @@ class TestDeterminismTaint:
         (finding,) = analysis.findings["DETFLOW001"]
         assert finding.context == "self.stamp = time.time()"
 
+    def test_sink_description_does_not_depend_on_call_order(self):
+        """``a_forward`` reaches two sinks; whichever it calls first, the
+        shortest description wins. Through ``b_short`` (solved after
+        ``a_forward``'s first visit) the shorter description arrives late
+        and must still propagate up to ``c_outer``."""
+
+        def analyze(first: str, second: str) -> str:
+            analysis = _analyze(
+                f"""
+                import time
+
+                # dataflow: sink[determinism] -- replayed payload
+                def zz_record_payload(payload):
+                    return payload
+
+                # dataflow: sink[determinism] -- replayed payload
+                def rec(payload):
+                    return payload
+
+                def b_short(value):
+                    rec(value)
+
+                def a_forward(value):
+                    {first}(value)
+                    {second}(value)
+
+                def c_outer(value):
+                    a_forward(value)
+
+                def emit():
+                    c_outer(time.time())
+                """
+            )
+            (finding,) = analysis.findings["DETFLOW001"]
+            return finding.message
+
+        for short in ("rec", "b_short"):
+            long_first = analyze("zz_record_payload", short)
+            short_first = analyze(short, "zz_record_payload")
+            assert long_first == short_first
+            assert "determinism sink mod0:rec()" in long_first
+
 
 class TestResourceLifecycles:
     def test_unclosed_file_handle_is_flagged(self):
@@ -355,10 +397,10 @@ class TestSummaryCache:
         _analyze(self.SRC, cache_dir=tmp_path)
         (entry_path,) = tmp_path.glob("*.json")
         entry = json.loads(entry_path.read_text())
-        assert entry["schema"] == IR_SCHEMA == "repro-lint-dataflow/2"
-        # Re-publish the same entry, validly checksummed, under schema /1.
+        assert entry["schema"] == IR_SCHEMA == "repro-lint-dataflow/3"
+        # Re-publish the same entry, validly checksummed, under schema /2.
         del entry["checksum"]
-        entry["schema"] = "repro-lint-dataflow/1"
+        entry["schema"] = "repro-lint-dataflow/2"
         key = entry_path.stem
         SummaryCache(tmp_path).put(key, entry)
         cache = SummaryCache(tmp_path)

@@ -25,6 +25,14 @@ def _findings(path, rule):
     return [f for f in result.findings if f.rule == rule]
 
 
+def _def_line(source: str, name: str) -> int:
+    return source.splitlines().index(f"def {name}(conn: Connection) -> None:") + 1
+
+
+#: The rules that guard the fleet's processes and pipes.
+CONCURRENCY_RULES = {"FORK001", "FORK002", "SIG001", "PIPE001", "PIPE002", "RES001"}
+
+
 class TestFixturesFire:
     def test_fork001_inherited_marked_object(self):
         found = _findings(FIXTURES / "fork_inherited_state.py", "FORK001")
@@ -88,11 +96,16 @@ class TestFixturesFire:
         assert "signal-safe" in found[0].message
 
     def test_pipe001_unclosed_and_unpaired(self):
-        found = _findings(FIXTURES / "pipe_unclosed_worker.py", "PIPE001")
-        assert len(found) == 2  # worker_ok's try/finally twin stays clean
-        lifecycle, pairing = sorted(found, key=lambda f: f.line)
-        assert "can reach function exit still open" in lifecycle.message
-        assert "unprotected path" in lifecycle.message
+        """The lifecycle half is RES001's: the Connection parameter of a
+        Process target leaks on the sentinel path. PIPE001 keeps the
+        pairing half."""
+        path = FIXTURES / "pipe_unclosed_worker.py"
+        (lifecycle,) = _findings(path, "RES001")  # worker_ok stays clean
+        assert lifecycle.line == 20  # the def line of worker_broken
+        assert "Connection parameter `conn`" in lifecycle.message
+        assert "worker_broken" in lifecycle.message
+        assert "line 24 -> exit" in lifecycle.message
+        (pairing,) = _findings(path, "PIPE001")
         assert "sends[orphan]" in pairing.message
         assert "receives[orphan]" in pairing.message
 
@@ -107,7 +120,7 @@ class TestFixturesFire:
 
 class TestRealCodeRegression:
     """Acceptance criterion: deleting the real ``conn.close()`` from a
-    pool-shaped worker loop is caught by PIPE001."""
+    pool-shaped worker loop is caught by RES001."""
 
     def test_pristine_pool_module_is_clean(self, tmp_path):
         copy = tmp_path / "pool.py"
@@ -116,7 +129,7 @@ class TestRealCodeRegression:
         concurrency = [
             f
             for f in result.findings
-            if f.rule in {"FORK001", "FORK002", "SIG001", "PIPE001", "PIPE002"}
+            if f.rule in CONCURRENCY_RULES
         ]
         assert concurrency == []
 
@@ -127,11 +140,12 @@ class TestRealCodeRegression:
         broken = source.replace(target, "        pass")
         copy = tmp_path / "pool.py"
         copy.write_text(broken)
-        found = _findings(copy, "PIPE001")
+        found = _findings(copy, "RES001")
         assert len(found) == 1
+        assert found[0].line == _def_line(source, "_pool_worker_main")
         assert "_pool_worker_main" in found[0].message
         assert "`conn`" in found[0].message
-        assert "still open" in found[0].message
+        assert "can leak" in found[0].message
 
     def test_pristine_supervisor_module_is_clean(self, tmp_path):
         """The supervision loop (dispatcher) and the workers it supervises
@@ -145,7 +159,7 @@ class TestRealCodeRegression:
         concurrency = [
             f
             for f in result.findings
-            if f.rule in {"FORK001", "FORK002", "SIG001", "PIPE001", "PIPE002"}
+            if f.rule in CONCURRENCY_RULES
         ]
         assert concurrency == []
 
@@ -163,9 +177,78 @@ class TestRealCodeRegression:
             [tmp_path / "dispatcher.py", tmp_path / "pool.py"],
             whole_program=True,
         )
-        found = [f for f in result.findings if f.rule == "PIPE001"]
+        found = [f for f in result.findings if f.rule == "RES001"]
         assert len(found) == 1
+        assert found[0].line == _def_line(source, "_pool_worker_main")
         assert "_pool_worker_main" in found[0].message
+        assert "`conn`" in found[0].message
+
+
+class TestConnectionOwnership:
+    """RES001 owns Connection lifecycles and PIPE002 runs on the same
+    dataflow IR; these pin the edges of what each one flags."""
+
+    def _lint(self, tmp_path, body: str, rule: str):
+        module = tmp_path / "conn_module.py"
+        module.write_text(
+            "from multiprocessing import Process\n"
+            "from multiprocessing.connection import Connection\n"
+            + textwrap.dedent(body)
+        )
+        return _findings(module, rule)
+
+    def test_borrowed_connection_parameter_is_not_owned(self, tmp_path):
+        """``feed`` only borrows its Connection: not a Process target, so
+        leaving it open is the caller's business."""
+        body = """
+            def feed(conn: Connection, items: list) -> None:
+                for item in items:
+                    conn.send(item)
+            """
+        assert self._lint(tmp_path, body, "RES001") == []
+        as_target = body + """
+            def launch(child: Connection) -> None:
+                worker = Process(target=feed, args=(child, []))
+                worker.start()
+                worker.join()
+            """
+        (found,) = self._lint(tmp_path, as_target, "RES001")
+        assert "Process target conn_module:feed" in found.message
+
+    def test_process_target_raise_edge_is_excused(self, tmp_path):
+        """A child main whose only unclosed exit is a raise edge is
+        clean: process teardown reaps the fd."""
+        body = """
+            def check(item: object) -> None:
+                if item is None:
+                    raise ValueError("no item")
+
+            def child(conn: Connection) -> None:
+                check(conn.recv())
+                conn.close()
+
+            def launch(end: Connection) -> None:
+                worker = Process(target=child, args=(end,))
+                worker.start()
+                worker.join()
+            """
+        assert self._lint(tmp_path, body, "RES001") == []
+
+    def test_each_bad_state_after_one_close_is_reported(self, tmp_path):
+        """One close, then a branch: recv on one arm, a second close on
+        the other. Both arms are bad states, each reported once."""
+        body = """
+            def shutdown(conn: Connection, drain: bool) -> None:
+                conn.close()
+                if drain:
+                    conn.recv()
+                else:
+                    conn.close()
+            """
+        found = self._lint(tmp_path, body, "PIPE002")
+        assert [(f.line, f.col) for f in found] == [(7, 8), (9, 8)]
+        assert ".recv() after .close()" in found[0].message
+        assert "second .close() (double close)" in found[1].message
 
 
 class TestAdjudication:
