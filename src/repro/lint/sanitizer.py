@@ -6,8 +6,8 @@ afterwards gets its ``entries`` list wrapped in :class:`GuardedEntries`,
 whose ``__setitem__`` walks the caller stack and
 
 * **allows** stores originating inside ``PagingOps.apply_entry_write``
-  (the PV-Ops choke point) or inside a hardware walker's ``walk`` (real
-  MMUs set A/D bits without telling the OS — §5.4);
+  (the PV-Ops choke point) or inside a hardware walker's ``walk`` or
+  ``walk_into`` (real MMUs set A/D bits without telling the OS — §5.4);
 * **records** writer provenance (function, file, line) for every store in
   a bounded ring, so a chaos failure can answer "who wrote this PTE?";
 * **raises** :class:`~repro.errors.PTEWriteBypassError` on anything else.
@@ -40,6 +40,7 @@ ALLOWED_WRITER_FUNCTIONS = frozenset({"apply_entry_write"})
 #: exactly as the MMU does — outside PV-Ops *by design*.
 HARDWARE_WRITERS: tuple[tuple[str, str], ...] = (
     ("walk", "paging/walker.py"),
+    ("walk_into", "paging/walker.py"),
     ("walk", "virt/nested.py"),
 )
 

@@ -17,10 +17,17 @@ from repro.kernel.policy import FirstTouchPolicy, PlacementPolicy
 from repro.mem.frame import FrameKind
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.accessed_dirty import clear_ad_everywhere, read_entry_or_ad
-from repro.mitosis.ring import link_ring, replica_on_socket, ring_members, unlink_ring
+from repro.mitosis.ring import (
+    alloc_frames,
+    link_ring,
+    local_copy,
+    local_entries,
+    ring_members,
+    unlink_ring,
+)
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
-from repro.paging.pte import PTE_ACCESSED, make_pte, pte_flags, pte_huge, pte_pfn, pte_present
+from repro.paging.pte import PTE_ACCESSED, pte_huge, pte_present
 from repro.trace.session import current_session
 
 
@@ -53,8 +60,7 @@ class MitosisPagingOps(PagingOps):
         """
         sockets = sorted(self.mask)
         copies: list[PageTablePage] = []
-        for socket in sockets:
-            frame = self.pagecache.alloc(socket)
+        for frame in alloc_frames(self.pagecache, sockets):
             frame.kind = FrameKind.PAGE_TABLE
             copies.append(PageTablePage(frame=frame, level=level))
         primary = copies[0]
@@ -104,22 +110,13 @@ class MitosisPagingOps(PagingOps):
         """
         members = ring_members(tree, page)
         self.stats.ring_hops += len(members)
-        child_ring: list[PageTablePage] | None = None
-        if (
-            pte_present(value)
-            and page.level > LEAF_LEVEL
-            and not pte_huge(value)
-        ):
-            child = tree.registry.get(pte_pfn(value))
-            if child is not None:
-                child_ring = ring_members(tree, child)
-        for member in members:
-            member_value = value
-            if child_ring is not None:
-                local_child = _pick_for_socket(child_ring, member.node)
-                member_value = make_pte(local_child.pfn, pte_flags(value))
-            self.apply_entry_write(member, index, member_value)
-            self.stats.pte_writes += 1
+        if page.level > LEAF_LEVEL and pte_present(value) and not pte_huge(value):
+            for member, member_value in zip(members, local_entries(tree, members, value)):
+                self.apply_entry_write(member, index, member_value)
+        else:
+            for member in members:
+                self.apply_entry_write(member, index, value)
+        self.stats.pte_writes += len(members)
         # set_pte is the eager-propagation hot path: counters only, no
         # event objects (see docs/observability.md on event volume).
         session = current_session()
@@ -187,16 +184,4 @@ class MitosisPagingOps(PagingOps):
     def root_pfn_for_socket(self, tree: PageTableTree, socket: int) -> int:
         """§5.3: the per-socket CR3 array — local replica root when the
         socket has one, the primary root otherwise."""
-        local = replica_on_socket(tree, tree.root, socket)
-        return (local or tree.root).pfn
-
-
-def _pick_for_socket(ring: list[PageTablePage], socket: int) -> PageTablePage:
-    """The ring member on ``socket``, else the ring's primary."""
-    for member in ring:
-        if member.node == socket:
-            return member
-    for member in ring:
-        if not member.is_replica:
-            return member
-    return ring[0]
+        return local_copy(ring_members(tree, tree.root), socket).pfn

@@ -23,13 +23,19 @@ from dataclasses import dataclass, field
 
 from repro.errors import OutOfMemoryError, ReplicationError
 from repro.kernel.costs import TABLE_ALLOC_CYCLES
-from repro.mem.frame import FrameKind
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
-from repro.mitosis.ring import link_ring, replica_on_socket, ring_members
-from repro.paging.levels import LEAF_LEVEL
-from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
-from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
+from repro.mitosis.degrade import DegradedState, reclaim_and_retry
+from repro.mitosis.ring import (
+    alloc_frames,
+    link_ring,
+    new_copy,
+    primary_of,
+    ring_members,
+    swap_ops,
+    wire_ring,
+)
+from repro.paging.pagetable import PageTablePage, PageTableTree
 from repro.trace.session import current_session
 from repro.units import PTES_PER_TABLE
 
@@ -122,15 +128,14 @@ class ReplicationJob:
     def _rescue(self, primary: PageTablePage, node: int) -> tuple[bool, float]:
         """Reclaim on the starving node and retry this ring exactly once;
         drop the socket from the mask (degrade) if it stays dry."""
-        from repro.mitosis.reclaim import reclaim_replicas
-
         self.retries += 1
-        self.kernel.resilience.retries += 1
-        reclaim_replicas(
-            self.kernel, node, target_free_frames=self.remaining, aggressive=True
-        )
         try:
-            cycles = _replicate_ring(self.tree, self.pagecache, primary, self.mask)
+            cycles = reclaim_and_retry(
+                self.kernel,
+                node,
+                self.remaining,
+                lambda: _replicate_ring(self.tree, self.pagecache, primary, self.mask),
+            )
         except OutOfMemoryError:
             if not self.degraded_sockets:
                 self.kernel.resilience.degradations += 1
@@ -150,13 +155,10 @@ class ReplicationJob:
                 # New tables must stop targeting the dead socket too.
                 self.tree.ops.mask = self.mask
             return False, 0.0
-        self.kernel.resilience.reclaim_rescues += 1
         return True, cycles
 
     def _record_outcome(self) -> None:
         """Publish the final mask (and any degradation) on the mm."""
-        from repro.mitosis.degrade import DegradedState
-
         self.mm.replication_mask = frozenset(self.mask)
         if self.degraded_sockets:
             self.mm.degraded = DegradedState(
@@ -189,13 +191,11 @@ def start_background_replication(
     if not mask:
         raise ReplicationError("empty mask")
     if not isinstance(tree.ops, MitosisPagingOps):
-        new_ops = MitosisPagingOps(pagecache, mask)
-        new_ops.stats = tree.ops.stats
-        tree.ops = new_ops
+        swap_ops(tree, MitosisPagingOps(pagecache, mask))
     else:
         tree.ops.mask = frozenset(mask)
     # Deepest-level tables first (bottom-up): children before parents.
-    primaries = sorted(tree.iter_tables(), key=lambda page: page.level)
+    primaries = sorted(map(primary_of, tree.iter_tables()), key=lambda page: page.level)
     job = ReplicationJob(
         tree=tree,
         pagecache=pagecache,
@@ -216,47 +216,18 @@ def _replicate_ring(
     """Bring one table's ring up to ``mask`` coverage; returns cycle cost.
 
     Requires every child of ``primary`` to already satisfy the mask (the
-    bottom-up order guarantees it), so each copy can point at socket-local
-    children immediately.
+    bottom-up order guarantees it), so each copy — new or existing — can
+    point at socket-local children immediately.
     """
     members = ring_members(tree, primary)
-    have = {member.node for member in members}
-    missing = sorted(mask - have)
-    if not missing:
-        return 0.0
-    fresh: list[PageTablePage] = []
-    try:
-        for socket in missing:
-            frame = pagecache.alloc(socket)
-            frame.kind = FrameKind.PAGE_TABLE
-            fresh.append(PageTablePage(frame=frame, level=primary.level, primary=primary))
-    except OutOfMemoryError:
-        for page in fresh:
-            pagecache.free(page.frame)
-        raise
-    for replica in fresh:
-        tree.registry[replica.pfn] = replica
-    link_ring(members + fresh)
-    ops = tree.ops
+    missing = sorted(mask - {member.node for member in members})
+    fresh = [new_copy(tree, primary, frame) for frame in alloc_frames(pagecache, missing)]
+    members += fresh
+    link_ring(members)
+    stats = tree.ops.stats
+    stats.pte_writes += wire_ring(tree, members, {copy.pfn for copy in fresh})
+    stats.tables_allocated += len(fresh)
     cycles = len(fresh) * TABLE_ALLOC_CYCLES
-    non_leaf = primary.level > LEAF_LEVEL
-    for member in members + fresh:
-        is_new = member in fresh
-        for index, entry in enumerate(primary.entries):
-            if not pte_present(entry):
-                continue
-            if non_leaf and not pte_huge(entry):
-                child = tree.registry[pte_pfn(entry)]
-                local_child = replica_on_socket(tree, child, member.node) or child
-                value = make_pte(local_child.pfn, pte_flags(entry))
-            elif not is_new:
-                continue
-            else:
-                value = entry
-            if member.entries[index] != value:
-                PagingOps.apply_entry_write(member, index, value)
-                ops.stats.pte_writes += 1
-    ops.stats.tables_allocated += len(fresh)
     return cycles + primary.valid_count * len(fresh) * 2.0  # copy cost estimate
 
 

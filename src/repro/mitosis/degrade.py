@@ -22,11 +22,14 @@ a remote copy, like any unmasked socket.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.errors import OutOfMemoryError
 from repro.mitosis.replication import enable_replication
 from repro.mitosis.ring import ring_members
 from repro.trace.session import current_session
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -65,6 +68,23 @@ def tables_missing_on(tree, node: int) -> int:
     return missing
 
 
+def reclaim_and_retry(kernel, node: int, target_free_frames: int, attempt: Callable[[], T]) -> T:
+    """Reclaim replicas on the starving ``node``, then run ``attempt`` once
+    more — the first line of defence after a per-socket OOM: other
+    processes' replicas there are insurance memory (§5.5).
+
+    Counts the retry, and the rescue when ``attempt`` succeeds; the
+    retry's :class:`~repro.errors.OutOfMemoryError` propagates.
+    """
+    from repro.mitosis.reclaim import reclaim_replicas
+
+    kernel.resilience.retries += 1
+    reclaim_replicas(kernel, node, target_free_frames=target_free_frames, aggressive=True)
+    result = attempt()
+    kernel.resilience.reclaim_rescues += 1
+    return result
+
+
 def enable_replication_resilient(kernel, process, mask) -> frozenset[int]:
     """Replicate ``process`` onto ``mask``, degrading instead of dying.
 
@@ -76,8 +96,6 @@ def enable_replication_resilient(kernel, process, mask) -> frozenset[int]:
     ``kernel.resilience`` counters track retries, rescues, degradations
     and recoveries.
     """
-    from repro.mitosis.reclaim import reclaim_replicas
-
     mm = process.mm
     requested = frozenset(mask)
     prior: DegradedState | None = getattr(mm, "degraded", None)
@@ -92,18 +110,13 @@ def enable_replication_resilient(kernel, process, mask) -> frozenset[int]:
             if exc.node is None or exc.node not in attempt:
                 raise
             node = exc.node
-            # First line of defence: other processes' replicas on the
-            # starving node are insurance memory (§5.5) — reclaim and retry.
-            stats.retries += 1
-            reclaim_replicas(
-                kernel,
-                node,
-                target_free_frames=tables_missing_on(mm.tree, node),
-                aggressive=True,
-            )
             try:
-                enable_replication(mm.tree, kernel.pagecache, frozenset(attempt))
-                stats.reclaim_rescues += 1
+                reclaim_and_retry(
+                    kernel,
+                    node,
+                    tables_missing_on(mm.tree, node),
+                    lambda: enable_replication(mm.tree, kernel.pagecache, frozenset(attempt)),
+                )
                 break
             except OutOfMemoryError as retry_exc:
                 drop = retry_exc.node if retry_exc.node in attempt else node

@@ -28,22 +28,14 @@ actually used.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mem.pagecache import PageTablePageCache
-from repro.mitosis.backend import MitosisPagingOps, _pick_for_socket
-from repro.mitosis.ring import ring_members
+from repro.mitosis.backend import MitosisPagingOps
+from repro.mitosis.ring import local_entries, ring_members, swap_ops
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
-from repro.paging.pte import (
-    PTE_PRESENT,
-    PTE_WRITABLE,
-    make_pte,
-    pte_flags,
-    pte_huge,
-    pte_pfn,
-    pte_present,
-)
+from repro.paging.pte import PTE_WRITABLE, pte_huge, pte_present
 
 
 @dataclass(frozen=True)
@@ -99,18 +91,12 @@ class LazyMitosisPagingOps(MitosisPagingOps):
             self.lazy_stats.eager += 1
             super().set_pte(tree, page, index, value)
             return
-        child_ring: list[PageTablePage] | None = None
-        if pte_present(value) and page.level > LEAF_LEVEL and not pte_huge(value):
-            child = tree.registry.get(pte_pfn(value))
-            if child is not None:
-                child_ring = ring_members(tree, child)
+        if page.level > LEAF_LEVEL and pte_present(value) and not pte_huge(value):
+            values = local_entries(tree, members, value)
+        else:
+            values = [value] * len(members)
         home = next((m for m in members if m.node == self.home_socket), members[0])
-        for member in members:
-            member_value = value
-            if child_ring is not None:
-                member_value = make_pte(
-                    _pick_for_socket(child_ring, member.node).pfn, pte_flags(value)
-                )
+        for member, member_value in zip(members, values):
             if member is home:
                 self.apply_entry_write(member, index, member_value)
                 self.stats.pte_writes += 1
@@ -156,23 +142,10 @@ class LazyMitosisPagingOps(MitosisPagingOps):
     def pending(self, socket: int) -> int:
         return len(self.queues.get(socket, ()))
 
-    # -- lifecycle hooks ------------------------------------------------------------
-
-    def release_table(self, tree: PageTableTree, page: PageTablePage) -> None:
-        # Freed pages may still be queue targets; sync_socket tolerates
-        # missing registry entries, so just drop the ring.
-        super().release_table(tree, page)
-
-    def root_pfn_for_socket(self, tree: PageTableTree, socket: int) -> int:
-        return super().root_pfn_for_socket(tree, socket)
-
 
 def make_lazy(tree: PageTableTree, pagecache: PageTablePageCache) -> LazyMitosisPagingOps:
     """Swap an (eagerly) replicated tree's backend to lazy propagation."""
     current = tree.ops
     if not isinstance(current, MitosisPagingOps):
         raise TypeError("lazy propagation requires a replicated tree")
-    lazy = LazyMitosisPagingOps(pagecache, current.mask)
-    lazy.stats = current.stats
-    tree.ops = lazy
-    return lazy
+    return swap_ops(tree, LazyMitosisPagingOps(pagecache, current.mask))

@@ -13,13 +13,19 @@ from __future__ import annotations
 from repro.errors import OutOfMemoryError, ReplicationError
 from repro.kernel.policy import PlacementPolicy
 from repro.kernel.pvops import NativePagingOps
-from repro.mem.frame import FrameKind
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
-from repro.mitosis.ring import link_ring, replica_on_socket, ring_members, unlink_ring
-from repro.paging.levels import LEAF_LEVEL
-from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
-from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
+from repro.mitosis.ring import (
+    drop_copies,
+    link_ring,
+    local_copy,
+    new_copy,
+    primary_of,
+    ring_members,
+    swap_ops,
+    wire_ring,
+)
+from repro.paging.pagetable import PageTablePage, PageTableTree
 from repro.trace.session import current_session
 
 
@@ -58,9 +64,8 @@ def _enable_replication(
 ) -> MitosisPagingOps:
     if not mask:
         raise ReplicationError("empty mask; use collapse_replicas to disable")
-    primaries = list(tree.iter_tables())
-    new_ops = MitosisPagingOps(pagecache, mask)
-    new_ops.stats = tree.ops.stats  # carry counters across the backend swap
+    primaries = [primary_of(page) for page in tree.iter_tables()]
+    stats = tree.ops.stats
 
     # Pass 0: reserve every frame the replication will need *before*
     # touching the tree, so a strict per-socket allocation failure (§5.1)
@@ -85,112 +90,44 @@ def _enable_replication(
     # inconsistency) unwinds every freshly created copy — no half-linked
     # rings, no leaked frames, no half-swapped ops backend.
     created: dict[int, PageTablePage] = {}  # new replica pfn -> its primary
-    rings: list[tuple[PageTablePage, list[PageTablePage]]] = []
+    rings: list[list[PageTablePage]] = []
     try:
         # Pass 1: allocate missing copies and re-link every ring. The ring
         # is recorded *before* it is mutated so that a failure inside
         # link_ring still leaves its fresh copies visible to the rollback.
         for primary in primaries:
             members = ring_members(tree, primary)
-            rings.append((primary, members))
+            rings.append(members)
             have = {member.node for member in members}
             for socket in sorted(mask - have):
-                frame = reserved[socket].pop()
-                frame.kind = FrameKind.PAGE_TABLE
-                replica = PageTablePage(frame=frame, level=primary.level, primary=primary)
-                tree.registry[replica.pfn] = replica
+                replica = new_copy(tree, primary, reserved[socket].pop())
                 members.append(replica)
                 created[replica.pfn] = primary
-                new_ops.stats.tables_allocated += 1
+                stats.tables_allocated += 1
             link_ring(members)
         assert all(not frames for frames in reserved.values())
 
         # Pass 2: establish the semantic-replication invariant on *every*
-        # copy (child rings now all exist): new replicas get all entries
-        # filled; pre-existing copies get their upper-level pointers rewired
-        # to their own socket's child copy. Leaf entries are identical
-        # everywhere.
-        for primary, members in rings:
-            non_leaf = primary.level > LEAF_LEVEL
-            for member in members:
-                is_new = member.pfn in created
-                for index, entry in enumerate(primary.entries):
-                    if not pte_present(entry):
-                        continue
-                    if non_leaf and not pte_huge(entry):
-                        child = tree.registry[pte_pfn(entry)]
-                        local_child = replica_on_socket(tree, child, member.node) or child
-                        value = make_pte(local_child.pfn, pte_flags(entry))
-                    elif not is_new:
-                        continue  # leaf entry already present and identical
-                    else:
-                        value = entry
-                    if member.entries[index] != value:
-                        PagingOps.apply_entry_write(member, index, value)
-                        new_ops.stats.pte_writes += 1
+        # copy, now that all child rings exist.
+        for members in rings:
+            stats.pte_writes += wire_ring(tree, members, created)
     except Exception:
-        _rollback_partial_enable(tree, pagecache, rings, created, reserved)
+        # Unwind: survivors that pass 2 rewired to a doomed copy point at
+        # its primary again, the new copies leave their rings and go back
+        # to the page-cache, and so do unconsumed pass-0 reservations.
+        _, freed = drop_copies(tree, pagecache, rings, created)
+        stats.tables_allocated -= freed
+        for frames in reserved.values():
+            while frames:
+                pagecache.free(frames.pop())
+        session = current_session()
+        if session is not None:
+            # The fixup arc: correlate with the 'fault' instant that
+            # triggered it via the timeline ordering.
+            session.instant("enable-rollback", category="mitosis", fresh_copies=len(created))
         raise
 
-    tree.ops = new_ops
-    return new_ops
-
-
-def _rollback_partial_enable(
-    tree: PageTableTree,
-    pagecache: PageTablePageCache,
-    rings: list[tuple[PageTablePage, list[PageTablePage]]],
-    created: dict[int, PageTablePage],
-    reserved: dict[int, list],
-) -> None:
-    """Unwind a failed :func:`enable_replication` mid-walk.
-
-    Surviving copies may have been rewired to point at a doomed child
-    replica in pass 2 — repoint those entries at the child ring's primary
-    first, then unlink the new copies out of their rings, drop them from
-    the registry and hand their frames back to the page-cache. Unconsumed
-    pass-0 reservations go back too.
-    """
-    # Repoint survivors away from copies that are about to be freed.
-    for primary, members in rings:
-        if primary.level == LEAF_LEVEL:
-            continue
-        for member in members:
-            if member.pfn in created:
-                continue
-            for index, entry in enumerate(member.entries):
-                if not pte_present(entry) or pte_huge(entry):
-                    continue
-                doomed_primary = created.get(pte_pfn(entry))
-                if doomed_primary is not None:
-                    PagingOps.apply_entry_write(
-                        member, index, make_pte(doomed_primary.pfn, pte_flags(entry))
-                    )
-    # Restore ring linkage and free every freshly created copy.
-    for primary, members in rings:
-        keep = [m for m in members if m.pfn not in created]
-        drop = [m for m in members if m.pfn in created]
-        if drop:
-            unlink_ring(members)
-            if len(keep) > 1:
-                link_ring(keep)
-            for member in drop:
-                tree.registry.pop(member.pfn, None)
-                pagecache.free(member.frame)
-                tree.ops.stats.tables_allocated -= 1
-    for frames in reserved.values():
-        while frames:
-            pagecache.free(frames.pop())
-    session = current_session()
-    if session is not None:
-        # The fixup arc: a failed enable was unwound back to the
-        # pre-replication state. Correlate with the 'fault' instant that
-        # triggered it via the timeline ordering.
-        session.instant(
-            "enable-rollback",
-            category="mitosis",
-            fresh_copies=len(created),
-        )
+    return swap_ops(tree, MitosisPagingOps(pagecache, mask))
 
 
 # protocol: defers[translation-visibility] -- caller owns the TLB shootdown after the table change
@@ -225,52 +162,20 @@ def _shrink_replication(
     pagecache: PageTablePageCache,
     drop_sockets: frozenset[int],
 ) -> int:
-    # Pass A: decide what goes. Primaries always stay. Note iter_tables
-    # yields whichever *copy* the local-pointer descent reaches — resolve
-    # each ring's true primary explicitly.
+    # Decide what goes. Primaries always stay, and every dropped replica
+    # is stood in for by its ring's primary (a remote-but-valid fallback,
+    # exactly what an unmasked socket walks anyway).
     rings = []
-    dropping: dict[int, PageTablePage] = {}  # dropped pfn -> its ring's primary
+    dropping: dict[int, PageTablePage] = {}
     for page in tree.iter_tables():
         members = ring_members(tree, page)
-        primary = next((m for m in members if not m.is_replica), members[0])
-        rings.append((primary, members))
+        rings.append(members)
         for member in members:
             if member.is_replica and member.node in drop_sockets:
-                dropping[member.pfn] = primary
-
-    # Pass B: surviving copies must not point at dropped child replicas —
-    # repoint them at the child's primary (a remote-but-valid fallback,
-    # exactly what an unmasked socket walks anyway).
-    for primary, members in rings:
-        if primary.level == LEAF_LEVEL:
-            continue
-        for member in members:
-            if member.pfn in dropping:
-                continue
-            for index, entry in enumerate(member.entries):
-                if not pte_present(entry) or pte_huge(entry):
-                    continue
-                target = dropping.get(pte_pfn(entry))
-                if target is not None:
-                    PagingOps.apply_entry_write(
-                        member, index, make_pte(target.pfn, pte_flags(entry))
-                    )
-                    tree.ops.stats.pte_writes += 1
-
-    # Pass C: relink rings and free the dropped frames.
-    freed = 0
-    for primary, members in rings:
-        keep = [m for m in members if m.pfn not in dropping]
-        drop = [m for m in members if m.pfn in dropping]
-        if not drop:
-            continue
-        unlink_ring(members)
-        link_ring(keep)
-        for member in drop:
-            del tree.registry[member.pfn]
-            pagecache.free(member.frame)
-            tree.ops.stats.tables_released += 1
-            freed += 1
+                dropping[member.pfn] = primary_of(page)
+    repointed, freed = drop_copies(tree, pagecache, rings, dropping)
+    tree.ops.stats.pte_writes += repointed
+    tree.ops.stats.tables_released += freed
     if isinstance(tree.ops, MitosisPagingOps):
         # New tables keep covering whatever the mask still asks for.
         new_mask = tree.ops.mask - drop_sockets
@@ -278,16 +183,8 @@ def _shrink_replication(
         # Downgrade to the native backend only when *every* ring is a
         # singleton (rings are heterogeneous when primaries sit outside
         # the mask, so the root ring alone proves nothing).
-        all_single = all(
-            page.frame.replica_next is None or page.frame.replica_next == page.pfn
-            for page in tree.registry.values()
-        )
-        if all_single:
-            new_ops = NativePagingOps(pagecache)
-            new_ops.stats = tree.ops.stats
-            tree.ops = new_ops
-            for page in tree.registry.values():
-                page.frame.replica_next = None
+        if all(page.frame.replica_next is None for page in tree.registry.values()):
+            swap_ops(tree, NativePagingOps(pagecache))
     return freed
 
 
@@ -328,43 +225,18 @@ def _collapse_replicas(
     keep_socket: int,
     pt_policy: PlacementPolicy | None = None,
 ) -> NativePagingOps:
-    old_root = tree.root
     # Gap-fill: guarantee every ring has a copy on the kept socket before
     # any mutation (enable_replication is idempotent and OOM-atomic).
     enable_replication(tree, pagecache, frozenset({keep_socket}))
-    new_ops = NativePagingOps(pagecache, pt_policy=pt_policy)
-    new_ops.stats = tree.ops.stats
-
-    for primary in list(tree.iter_tables()):
-        members = ring_members(tree, primary)
-        keep = next((m for m in members if m.node == keep_socket), None)
-        assert keep is not None, "gap-fill guaranteed a copy on the kept socket"
-        unlink_ring(members)
+    new_root = local_copy(ring_members(tree, tree.root), keep_socket)
+    rings = [ring_members(tree, page) for page in tree.iter_tables()]
+    doomed: dict[int, PageTablePage] = {}
+    for members in rings:
+        keep = local_copy(members, keep_socket)
+        assert keep.node == keep_socket, "gap-fill guaranteed a copy on the kept socket"
         keep.primary = None
-        for member in members:
-            if member is keep:
-                continue
-            del tree.registry[member.pfn]
-            pagecache.free(member.frame)
-            new_ops.stats.tables_released += 1
-
-    new_root = tree.registry[
-        MitosisRootFinder.root_pfn_on(tree, old_root, keep_socket)
-    ]
+        doomed.update((member.pfn, keep) for member in members if member is not keep)
+    _, freed = drop_copies(tree, pagecache, rings, doomed)
+    tree.ops.stats.tables_released += freed
     tree.root = new_root
-    tree.ops = new_ops
-    return new_ops
-
-
-class MitosisRootFinder:
-    """Small helper: resolve the kept root before/after ring teardown."""
-
-    @staticmethod
-    def root_pfn_on(tree: PageTableTree, old_root: PageTablePage, socket: int) -> int:
-        if old_root.node == socket and old_root.pfn in tree.registry:
-            return old_root.pfn
-        # Ring already unlinked: find the surviving root-level copy on socket.
-        for page in tree.registry.values():
-            if page.level == old_root.level and page.node == socket and page.primary is None:
-                return page.pfn
-        raise ReplicationError(f"lost the root while collapsing to socket {socket}")
+    return swap_ops(tree, NativePagingOps(pagecache, pt_policy=pt_policy))

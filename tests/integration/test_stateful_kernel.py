@@ -2,12 +2,15 @@
 
 Hypothesis drives random interleavings of mmap / munmap / mprotect /
 process migration / replication-mask changes / page-table migration /
-replica shrinking against a reference model, checking after every step:
+replica shrinking / stepped background replication / injected page-cache
+OOM against a reference model, checking after every step:
 
 * translations match the model exactly (for every replica, from every
   socket);
 * physical frames are conserved (no leaks, no double use);
 * replica rings are well-formed;
+* the replica-consistency verifier is clean (socket-local child wiring,
+  leaf agreement, published-mask coverage);
 * tearing everything down returns the machine to pristine.
 """
 
@@ -17,10 +20,12 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 from hypothesis import strategies as st
 
-from repro.errors import InvalidMappingError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
+from repro.inject import FaultPlan, install_fault_plan, verify_kernel
 from repro.kernel.kernel import Kernel
 from repro.kernel.sysctl import MitosisMode, Sysctl
 from repro.machine.topology import Machine
+from repro.mitosis.background import run_to_completion, start_background_replication
 from repro.mitosis.replication import replica_sockets
 from repro.mitosis.ring import ring_members
 from repro.paging.pte import PTE_USER, PTE_WRITABLE
@@ -39,19 +44,35 @@ class KernelMachine(RuleBasedStateMachine):
         )
         self.kernel = Kernel(machine, sysctl=Sysctl(mitosis_mode=MitosisMode.PER_PROCESS))
         self.process = self.kernel.create_process("fuzz", socket=0)
+        self.plan = install_fault_plan(self.kernel, FaultPlan(seed=0))
         #: reference model: page-aligned va -> True (mapped)
         self.model: dict[int, bool] = {}
-        self.next_slot = 1
+        #: In-flight background replication, stepped by its own rule.
+        self.job = None
+
+    def finish_job(self):
+        """Mask-changing operations run on a settled replica set."""
+        if self.job is not None:
+            try:
+                run_to_completion(self.job, max_tables_per_step=4)
+            except OutOfMemoryError:
+                pass  # every target socket stayed dry; the job gave up
+            self.job = None
 
     # -- operations --------------------------------------------------------------
 
     @rule(pages=st.integers(min_value=1, max_value=REGION_PAGES))
     def mmap(self, pages):
+        vmas = self.process.mm.vmas
+        before = {vma.start for vma in vmas}
         try:
             va = self.kernel.sys_mmap(
                 self.process, pages * PAGE_SIZE, populate=True, use_huge=False
             ).value
         except OutOfMemoryError:
+            # Populate failed part-way: unmap whatever it left behind.
+            for vma in [vma for vma in vmas if vma.start not in before]:
+                self.kernel.sys_munmap(self.process, vma.start, vma.end - vma.start)
             return
         for i in range(pages):
             self.model[va + i * PAGE_SIZE] = True
@@ -79,6 +100,7 @@ class KernelMachine(RuleBasedStateMachine):
 
     @rule(mask=st.sets(st.integers(min_value=0, max_value=N_SOCKETS - 1)))
     def set_replication_mask(self, mask):
+        self.finish_job()
         try:
             self.kernel.mitosis.set_replication_mask(self.process, frozenset(mask) or None)
         except OutOfMemoryError:
@@ -89,6 +111,7 @@ class KernelMachine(RuleBasedStateMachine):
     def migrate_pagetables(self, destination):
         from repro.mitosis.migration import migrate_page_tables
 
+        self.finish_job()
         try:
             migrate_page_tables(self.kernel, self.process, destination)
         except OutOfMemoryError:
@@ -99,10 +122,42 @@ class KernelMachine(RuleBasedStateMachine):
     def shrink(self, socket):
         from repro.mitosis.replication import shrink_replication
 
+        self.finish_job()
         tree = self.process.mm.tree
         shrink_replication(tree, self.kernel.pagecache, frozenset({socket}))
-        remaining = replica_sockets(tree)
+        # A primary left on the dropped socket keeps it in the root ring,
+        # but tables allocated from now on skip it: stop publishing it.
+        remaining = replica_sockets(tree) - {socket}
         self.process.mm.replication_mask = remaining if len(remaining) > 1 else None
+
+    @precondition(lambda self: self.job is None and not self.process.mm.replicated)
+    @rule(mask=st.sets(st.integers(min_value=0, max_value=N_SOCKETS - 1), min_size=1))
+    def start_background(self, mask):
+        self.job = start_background_replication(
+            self.process.mm.tree,
+            self.kernel.pagecache,
+            frozenset(mask),
+            kernel=self.kernel,
+            mm=self.process.mm,
+        )
+
+    @precondition(lambda self: self.job is not None)
+    @rule(tables=st.integers(min_value=1, max_value=4))
+    def step_background(self, tables):
+        try:
+            self.job.step(tables)
+        except OutOfMemoryError:
+            self.job = None  # every target socket stayed dry; the job gave up
+            return
+        if self.job.done:
+            self.job = None
+
+    @rule(
+        node=st.integers(min_value=0, max_value=N_SOCKETS - 1),
+        limit=st.integers(min_value=1, max_value=4),
+    )
+    def pagecache_oom(self, node, limit):
+        self.plan.pagecache_oom(node=node, limit=limit)
 
     # -- invariants ----------------------------------------------------------------
 
@@ -129,6 +184,14 @@ class KernelMachine(RuleBasedStateMachine):
                 assert member.pfn not in seen or member.pfn == page.pfn
             seen.update(m.pfn for m in members)
         assert seen == set(tree.registry), "registry / ring mismatch"
+
+    # Mid-job, a parent copy points at its child's primary until the job
+    # reaches the parent; only settled replica sets are socket-local.
+    @precondition(lambda self: self.job is None)
+    @invariant()
+    def replicas_verify(self):
+        report = verify_kernel(self.kernel)
+        assert report.ok, report.render()
 
     @invariant()
     def full_mm_validation(self):

@@ -96,12 +96,18 @@ class TestVerdicts:
             assert record.allowed is False
             assert record.value == 0xBAD
 
-    def test_hardware_walker_ad_store_is_allowed(self, tree_factory):
+    @pytest.mark.parametrize("method", ["walk", "walk_into"])
+    def test_hardware_walker_ad_store_is_allowed(self, tree_factory, method):
         with PTESanitizer() as sanitizer:
             tree, physmem = tree_factory()
             tree.map_page(0x1000, physmem.alloc_frame(0).pfn, FLAGS)
-            result = HardwareWalker(tree).walk(0x1000, socket=0, is_write=True)
-            assert result.translation is not None
+            walker = HardwareWalker(tree)
+            if method == "walk":
+                translation = walker.walk(0x1000, socket=0, is_write=True).translation
+            else:
+                out = [[0] * tree.geometry.root_level for _ in range(4)]
+                _, translation = walker.walk_into(0x1000, 0, True, *out)
+            assert translation is not None
             assert sanitizer.violations == 0
             leaf = tree.leaf_location(0x1000)
             assert leaf.page.entries[leaf.index] & PTE_ACCESSED

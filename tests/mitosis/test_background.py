@@ -9,7 +9,9 @@ from repro.machine.topology import Machine, Socket
 from repro.mem.pagecache import PageTablePageCache
 from repro.mem.physmem import PhysicalMemory
 from repro.mitosis.background import run_to_completion, start_background_replication
-from repro.mitosis.replication import replica_sockets
+from repro.inject.verify import verify_tree
+from repro.mitosis.replication import enable_replication, replica_sockets
+from repro.mitosis.ring import ring_members
 from repro.paging.pagetable import PageTableTree
 from repro.paging.pte import PTE_USER, PTE_WRITABLE
 from repro.paging.walker import HardwareWalker
@@ -129,3 +131,54 @@ class TestBackgroundReplication:
         run_to_completion(job)
         assert replica_sockets(tree) == frozenset({0, 1})
         assert translations_correct(tree, mapping, sockets=(0, 1))
+
+
+def eager(tree, cache, mask):
+    enable_replication(tree, cache, mask)
+
+
+def background(tree, cache, mask):
+    run_to_completion(start_background_replication(tree, cache, mask))
+
+
+@pytest.mark.parametrize("replicate", [eager, background])
+class TestMixedPlacement:
+    """Trees whose root sits on another socket than the tables below it,
+    as first-touch placement leaves a process that moved after exec."""
+
+    @staticmethod
+    def mixed_tree(physmem, root_node, table_node):
+        cache = PageTablePageCache(physmem)
+        ops = NativePagingOps(cache, pt_policy=FixedNodePolicy(root_node))
+        tree = PageTableTree(ops)
+        ops.pt_policy = FixedNodePolicy(table_node)
+        for i in range(8):
+            tree.map_page(i * PAGE_SIZE, physmem.alloc_frame(0).pfn, FLAGS)
+        return cache, tree
+
+    @staticmethod
+    def assert_covered(tree, mask):
+        report = verify_tree(tree)
+        assert report.ok, report.render()
+        for page in tree.iter_tables():
+            assert mask <= {m.node for m in ring_members(tree, page)}
+
+    def test_growing_the_mask_extends_rings_reached_through_replicas(
+        self, physmem4, replicate
+    ):
+        # Once replicated, the root's primary (socket 2) points at the
+        # socket-2 *replicas* of the tables below: the walk reaches those
+        # rings through a replica, and they still need a copy on socket 3.
+        cache, tree = self.mixed_tree(physmem4, root_node=2, table_node=0)
+        replicate(tree, cache, frozenset({0, 1, 2}))
+        replicate(tree, cache, MASK)
+        self.assert_covered(tree, MASK)
+
+    def test_existing_copies_are_rewired_to_new_local_children(self, physmem4, replicate):
+        # The root already lives on socket 0; once the tables below get a
+        # copy there, the root must point at it.
+        cache, tree = self.mixed_tree(physmem4, root_node=0, table_node=1)
+        replicate(tree, cache, frozenset({0}))
+        self.assert_covered(tree, frozenset({0}))
+        result = HardwareWalker(tree).walk(0, 0, set_ad_bits=False)
+        assert all(a.node == 0 for a in result.accesses)

@@ -13,6 +13,7 @@ from repro.kernel.pvops import NativePagingOps
 from repro.machine.topology import Machine, Socket
 from repro.mem.pagecache import PageTablePageCache
 from repro.mem.physmem import PhysicalMemory
+from repro.mitosis.backend import MitosisPagingOps
 from repro.mitosis.replication import enable_replication
 from repro.paging.pagetable import PageTableTree
 from repro.paging.pte import PTE_USER, PTE_WRITABLE
@@ -98,6 +99,23 @@ class TestOomSafety:
         from repro.mitosis.replication import replica_sockets
 
         assert replica_sockets(tree) == frozenset({0, 1})
+
+
+class TestReplicatedAllocTableOom:
+    def test_failed_copy_returns_the_copies_already_taken(self, starved):
+        """A new table needs one copy per masked socket; when a later
+        socket is dry, the copies already allocated go back."""
+        physmem, cache, tree = starved
+        tree.ops = MitosisPagingOps(cache, frozenset({0, 1}))
+        fillers = [physmem.alloc_frame(1) for _ in range(2)]  # socket 1 is dry
+        pt_bytes = physmem.page_table_bytes()
+        tables = tree.total_table_count()
+        with pytest.raises(OutOfMemoryError):
+            tree.map_page(1 << 39, physmem.alloc_frame(0).pfn, FLAGS)  # new L3
+        assert physmem.page_table_bytes() == pt_bytes
+        assert tree.total_table_count() == tables
+        for frame in fillers:
+            physmem.free(frame)
 
 
 @pytest.fixture

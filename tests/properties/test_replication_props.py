@@ -5,7 +5,8 @@ For ANY sequence of map/unmap operations and ANY replication mask:
 * every replica translates every VA identically (walks from any socket
   agree with the primary);
 * every walk from a masked socket touches only that socket's memory;
-* enabling then collapsing replication is observationally a no-op.
+* enabling then collapsing replication is observationally a no-op;
+* background replication, run to completion, equals eager replication.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from repro.kernel.pvops import NativePagingOps
 from repro.machine.topology import Machine
 from repro.mem.pagecache import PageTablePageCache
 from repro.mem.physmem import PhysicalMemory
+from repro.inject.verify import verify_tree
+from repro.mitosis.background import run_to_completion, start_background_replication
 from repro.mitosis.replication import collapse_replicas, enable_replication
+from repro.mitosis.ring import primary_of, ring_members
 from repro.paging.pagetable import PageTableTree
 from repro.paging.pte import PTE_USER, PTE_WRITABLE
 from repro.paging.walker import HardwareWalker
@@ -111,3 +115,38 @@ def test_replica_memory_accounting(operations, mask):
     enable_replication(tree, cache, mask)
     new_sockets = len(mask - {0})
     assert physmem.page_table_bytes() == pt_before + new_sockets * tables * PAGE_SIZE
+
+
+def ring_shapes(tree):
+    """Per ring, keyed by its primary's pfn: the level and each copy's
+    (socket, valid entries). Replica pfns depend on allocation order, so
+    they are left out."""
+    shapes = {}
+    for page in tree.iter_tables():
+        primary = primary_of(page)
+        copies = sorted((m.node, m.valid_count) for m in ring_members(tree, primary))
+        shapes[primary.pfn] = (primary.level, copies)
+    return shapes
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops, masks)
+def test_background_replication_matches_eager(operations, mask):
+    """Copying the tables in bounded background steps ends where one eager
+    ``enable_replication`` does: same rings, same entry counts, same
+    writes and allocations, and a clean replica verifier on both."""
+    results = []
+    for replicate in (
+        enable_replication,
+        lambda tree, cache, mask: run_to_completion(
+            start_background_replication(tree, cache, mask)
+        ),
+    ):
+        physmem, cache, tree = fresh()
+        apply_ops(physmem, tree, operations)
+        replicate(tree, cache, mask)
+        report = verify_tree(tree)
+        assert report.ok, report.render()
+        stats = tree.ops.stats
+        results.append((ring_shapes(tree), stats.pte_writes, stats.tables_allocated))
+    assert results[0] == results[1]
