@@ -290,7 +290,7 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out", default=None,
         help="report path (default: BENCH_engine.json, or BENCH_fleet.json "
-        "with --fleet)",
+        "with --fleet; with --json, no file unless --out is given)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -305,7 +305,7 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
         "--json", action="store_true",
         help="print the full report (repro-bench-engine/2, or "
         "repro-bench-fleet/2 with --fleet) to stdout instead of the "
-        "summary table",
+        "summary table; writes a file only with --out",
     )
     parser.add_argument(
         "--fleet", action="store_true",
@@ -759,15 +759,26 @@ def _cmd_table4(args: argparse.Namespace) -> int:
     return 0
 
 
+def _perf_out(args: argparse.Namespace, default: str) -> str | None:
+    """Where ``perf`` writes its report: ``--out``, else ``default`` --
+    except under ``--json``, which prints the report instead and writes
+    a file only when ``--out`` names one."""
+    if args.out:
+        return args.out
+    return None if args.json else default
+
+
 def _cmd_perf(args: argparse.Namespace) -> int:
     """``repro perf``: benchmark the scalar vs vector engine tiers.
 
     Runs the :mod:`repro.sim.bench` scenarios (best-of-``--repeat``
     wall-clock per engine, fresh scenario per measurement), prints an
     accesses/second table with per-batch p50/p99 latencies, and writes
-    the ``repro-bench-engine/2`` report to ``--out``. ``--json`` prints
-    the full report to stdout instead (machine-readable, what CI's
-    perf-smoke gate parses). ``--check`` turns it into a regression
+    the ``repro-bench-engine/2`` report to ``--out`` (default
+    ``BENCH_engine.json``). ``--json`` prints the full report to stdout
+    instead (machine-readable, what CI's perf-smoke gate parses) and
+    writes a file only when ``--out`` is given, so a reduced-scale run
+    never overwrites the committed report. ``--check`` turns it into a regression
     gate: non-zero exit when the engines' metrics differ anywhere, or
     the vector tier is slower than scalar on the GUPS scenario or the
     escape-heavy redis-faults / memcached-traced scenarios.
@@ -793,7 +804,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = args.out or "BENCH_engine.json"
+    out = _perf_out(args, "BENCH_engine.json")
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -812,7 +823,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 f"  vector {latency['vector']['p50_us']:,.0f}/{latency['vector']['p99_us']:,.0f}"
                 f"  ({latency['accesses_per_batch']} accesses/batch)"
             )
-    write_report(report, out)
+    if out is not None:
+        write_report(report, out)
     if not args.json:
         print(f"report written to {out}")
     if args.check:
@@ -834,7 +846,7 @@ def _cmd_perf_fleet(args: argparse.Namespace) -> int:
     from repro.sim.bench import write_report
 
     report = run_fleet_bench(jobs=args.fleet_jobs, workers=args.fleet_workers)
-    out = args.out or "BENCH_fleet.json"
+    out = _perf_out(args, "BENCH_fleet.json")
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -858,7 +870,8 @@ def _cmd_perf_fleet(args: argparse.Namespace) -> int:
                 quarantined = reference["probes_quarantined"]
                 print(f"{'':>10}  real crash/hang probes: "
                       + ("quarantined" if quarantined else "NOT quarantined"))
-    write_report(report, out)
+    if out is not None:
+        write_report(report, out)
     if not args.json:
         print(f"report written to {out}")
     if args.check:

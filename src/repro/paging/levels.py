@@ -16,6 +16,8 @@ from repro.units import BITS_PER_LEVEL, PAGE_SHIFT, PTES_PER_TABLE
 LEAF_LEVEL = 1
 #: Level whose entries can map 2 MiB pages (PS bit).
 HUGE_LEAF_LEVEL = 2
+#: Root level of the deepest supported tree (Intel's 5-level paging).
+MAX_ROOT_LEVEL = 5
 
 
 def level_shift(level: int) -> int:
@@ -51,7 +53,7 @@ class PagingGeometry:
     levels: int = 4
 
     def __post_init__(self) -> None:
-        if self.levels not in (4, 5):
+        if self.levels not in (4, MAX_ROOT_LEVEL):
             raise ValueError("only 4- and 5-level paging are supported")
 
     @property

@@ -34,9 +34,9 @@ PTE_NX = 1 << 63
 PTE_AD_BITS = PTE_ACCESSED | PTE_DIRTY
 
 #: Mask covering the PFN field (bits 12..51).
-_PFN_MASK = ((1 << 52) - 1) & ~((1 << 12) - 1)
+PFN_MASK = ((1 << 52) - 1) & ~((1 << 12) - 1)
 #: All non-PFN bits (flags).
-FLAGS_MASK = ~_PFN_MASK & ((1 << 64) - 1)
+FLAGS_MASK = ~PFN_MASK & ((1 << 64) - 1)
 
 #: Default flags for an upper-level entry pointing at a lower table.
 TABLE_FLAGS = PTE_PRESENT | PTE_WRITABLE | PTE_USER
@@ -46,14 +46,14 @@ def make_pte(pfn: int, flags: int) -> int:
     """Encode a PTE from a frame number and flag bits."""
     if pfn < 0 or pfn >= (1 << 40):
         raise ValueError(f"pfn {pfn} out of range")
-    if flags & _PFN_MASK:
+    if flags & PFN_MASK:
         raise ValueError("flags overlap the PFN field")
     return (pfn << 12) | flags
 
 
 def pte_pfn(pte: int) -> int:
     """Frame number a PTE points at."""
-    return (pte & _PFN_MASK) >> 12
+    return (pte & PFN_MASK) >> 12
 
 
 def pte_flags(pte: int) -> int:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from repro.paging.levels import HUGE_LEAF_LEVEL, LEAF_LEVEL, level_index
 from repro.paging.pagetable import PageTablePage, PageTableTree, Translation
 from repro.paging.pte import (
+    FLAGS_MASK,
+    PFN_MASK,
     PTE_ACCESSED,
     PTE_DIRTY,
     PTE_HUGE,
@@ -164,10 +166,11 @@ class HardwareWalker:
         n = 0
         while True:
             index = (va >> (12 + 9 * (level - 1))) & 511
-            pfn = page.pfn
+            frame = page.frame
+            pfn = frame.pfn
             out_levels[n] = level
             out_pfns[n] = pfn
-            out_nodes[n] = page.node
+            out_nodes[n] = frame.node
             out_lines[n] = (pfn << 12) + (index * 8 & line_mask)
             n += 1
             entry = page.entries[index]
@@ -182,8 +185,8 @@ class HardwareWalker:
                 page.entries[index] = new_entry
                 entry = new_entry
             if is_leaf:
-                offset_bits = 21 if level == HUGE_LEAF_LEVEL else 12
-                leaf_pfn = pte_pfn(entry) + ((va >> 12) & ((1 << (offset_bits - 12)) - 1))
-                return n, Translation(pfn=leaf_pfn, flags=pte_flags(entry), level=level)
-            page = registry[pte_pfn(entry)]
+                offset_mask = 511 if level == HUGE_LEAF_LEVEL else 0
+                leaf_pfn = ((entry & PFN_MASK) >> 12) + ((va >> 12) & offset_mask)
+                return n, Translation(leaf_pfn, entry & FLAGS_MASK, level)
+            page = registry[(entry & PFN_MASK) >> 12]
             level -= 1

@@ -27,7 +27,8 @@ contract of docs/performance.md, enforced by
   every shootdown/invalidation path). Everything the hit mask cannot
   cover — the walk/fault/trace *escape classes* of docs/performance.md —
   runs on the batched escape interpreter (:mod:`repro.sim.escape`):
-  inlined TLB probes, the allocation-free walker batch entry point,
+  inlined TLB probes and TLB-miss path (PSC probe, LLC probes, PSC and
+  TLB fills), the allocation-free walker batch entry point,
   fault-partitioned spans, and a deferred structure-of-arrays trace
   flush that reproduces the scalar tier's record stream exactly.
 
@@ -260,7 +261,7 @@ class _ThreadExecution:
         self.process = process
         self.walker = walker
         self.tlb, self.mmu = context
-        self.llc_access = llcs[socket].access
+        self.llc = llcs[socket]
         self.registry = process.mm.tree.registry
         self.fault_handler = kernel.fault_handler
         self.allow_huge = kernel.sysctl.thp_enabled
@@ -347,7 +348,7 @@ class _ThreadExecution:
             assert result.translation is not None
         accesses = result.accesses
         leaf_access = accesses[-1]
-        llc_access = self.llc_access
+        llc_access = self.llc.access
         walk_cost = self.walk_cost
         walk_llc_hit_cost = self.walk_llc_hit_cost
         registry = self.registry

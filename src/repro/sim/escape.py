@@ -19,12 +19,14 @@ access, a per-walk list-of-dicts for the trace span — capped the vector
 tier at ~1x. This module is the batched counterpart for all three
 classes:
 
-* :func:`run_escape_span` interprets a *run* of escape-side accesses with
-  semantics identical to ``_ThreadExecution.run_span`` (same counter
+* :meth:`EscapeRunner.run` interprets a *run* of escape-side accesses
+  with semantics identical to ``_ThreadExecution.run_span`` (same counter
   increments, same IEEE-754 accumulation order, same LRU transitions),
-  but with the TLB-hierarchy probes inlined and the walker entered
-  through the allocation-free :meth:`HardwareWalker.walk_into` batch
-  entry point;
+  but with the whole TLB-miss path inlined — TLB probes, the PSC probe,
+  per-level LLC probes, PSC fills and L1+L2 TLB fills, read through the
+  structures' own plans and sets — and the walker entered through the
+  allocation-free :meth:`HardwareWalker.walk_into` batch entry point,
+  which stays the tier's only hardware A/D store site;
 * faults *partition* a span instead of ending batching: the span flushes
   deferred trace state, services the fault through the unchanged kernel
   path, and resumes batched on the next access;
@@ -42,6 +44,9 @@ reference loop fails the differential suite before it ships.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from repro.paging.levels import HUGE_LEAF_LEVEL, MAX_ROOT_LEVEL
+from repro.units import HUGE_PAGE_SHIFT, PAGE_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import _ThreadExecution
@@ -168,10 +173,10 @@ class EscapeRunner:
             else None
         )
         # Deepest possible walk: the 5-level root. Reused, never resized.
-        self.out_levels = [0] * 6
-        self.out_pfns = [0] * 6
-        self.out_nodes = [0] * 6
-        self.out_lines = [0] * 6
+        self.out_levels = [0] * (MAX_ROOT_LEVEL + 1)
+        self.out_pfns = [0] * (MAX_ROOT_LEVEL + 1)
+        self.out_nodes = [0] * (MAX_ROOT_LEVEL + 1)
+        self.out_lines = [0] * (MAX_ROOT_LEVEL + 1)
 
     def run(
         self,
@@ -190,12 +195,19 @@ class EscapeRunner:
         epoch slice exactly as the reference loop aligns them.
 
         Semantics are access-for-access identical to
-        ``_ThreadExecution.run_span`` over the same elements: the TLB
+        ``_ThreadExecution.run_span`` over the same elements. The TLB
         hierarchy probes are inlined (same probe order, same counter and
-        LRU transitions as :meth:`TlbHierarchy.lookup`), walks enter
-        through :meth:`HardwareWalker.walk_into`, faults take the
+        LRU transitions as :meth:`TlbHierarchy.lookup`), and so is the
+        miss path of ``walk_one``: the PSC probe over
+        :attr:`MmuCaches.probe_plan`, the per-level LLC probe with the
+        leaf-pollution rule, the PSC fills over
+        :attr:`MmuCaches.fill_plan` and the L1+L2 fill with its
+        translation-cache stamp (:meth:`TlbHierarchy.insert`). Walks
+        enter through :meth:`HardwareWalker.walk_into`, faults take the
         unchanged kernel path (after a trace flush — fault sites emit
         instants inline), and every accumulator folds in the same order.
+        ``tests/sim/test_engine_equivalence.py`` compares the machine
+        state both tiers leave behind, not only their metrics.
         """
         ex = self.ex
         tracebuf = self.tracebuf
@@ -213,11 +225,30 @@ class EscapeRunner:
         totals_l1 = totals.l1
         totals_l2 = totals.l2
         fill_l1 = tlb._fill_l1
-        tlb_insert = tlb.insert
-        mmu_lookup = ex.mmu.lookup
-        mmu_insert = ex.mmu.insert
+        # Walk fills (TlbHierarchy.insert) per page size: L1 structure, L2
+        # structure, translation-cache dict, page shift.
+        fill_4k = (
+            sets1_4, n1_4, l1_4k.ways, st1_4,
+            sets2_4, n2_4, l2_4k.ways, st2_4,
+            tlb._xlate_4k, PAGE_SHIFT,
+        )
+        fill_2m = (
+            sets1_2, n1_2, l1_2m.ways, st1_2,
+            sets2_2, n2_2, l2_2m.ways, st2_2,
+            tlb._xlate_2m, HUGE_PAGE_SHIFT,
+        )
+        # Inlined paging-structure caches (MmuCaches.lookup / insert).
+        mmu = ex.mmu
+        psc_stats = mmu.stats
+        psc_hits = psc_stats.hits_at_level
+        probe_plan = mmu.probe_plan
+        fill_plan = mmu.fill_plan
+        # Inlined page-table LLC (SocketLlc.access).
+        llc = ex.llc
+        llc_lines = llc._lines
+        llc_stats = llc.stats
+        llc_capacity = llc.capacity_lines
         walk_into = ex.walker.walk_into
-        llc_access = ex.llc_access
         registry = ex.registry
         handle_fault = ex.fault_handler.handle
         process = ex.process
@@ -234,6 +265,11 @@ class EscapeRunner:
         out_pfns = self.out_pfns
         out_nodes = self.out_nodes
         out_lines = self.out_lines
+        if tracebuf is not None:
+            tb_levels = tracebuf.l_levels
+            tb_nodes = tracebuf.l_nodes
+            tb_hits = tracebuf.l_hits
+            tb_costs = tracebuf.l_costs
         # Accumulators mirror the reference loop's locals.
         data_cycles = ex.data_cycles
         walk_cycles = ex.walk_cycles
@@ -293,13 +329,24 @@ class EscapeRunner:
                 else:
                     totals_l2.misses += 1
                     totals.walks += 1
-                    # -- the walk: PSC probe, batch walker entry ----------------
+                    # -- the TLB-miss path, inlined walk_one ------------------
                     walks += 1
                     is_write = writes[i]
+                    # PSC probe: deepest cached starting point.
+                    psc_stats.lookups += 1
+                    start = None
+                    for level, cache, shift in probe_plan:
+                        tag = va >> shift
+                        page = cache.get(tag)
+                        if page is not None:
+                            cache.move_to_end(tag)
+                            psc_hits[level] = psc_hits.get(level, 0) + 1
+                            start = (page, level)
+                            break
                     n_levels, translation = walk_into(
                         va, socket, is_write,
                         out_levels, out_pfns, out_nodes, out_lines,
-                        mmu_lookup(va),
+                        start,
                     )
                     faulted = translation is None
                     if faulted:
@@ -320,44 +367,69 @@ class EscapeRunner:
                         )
                         assert translation is not None
                     last = n_levels - 1
-                    if tracebuf is None:
-                        for j in range(n_levels):
-                            hit = llc_access(out_lines[j])
-                            if hit and j == last and pollution_rolls[i]:
-                                # Data traffic evicted this leaf PTE line
-                                # since the last walk that used it.
-                                hit = False
-                            if hit:
-                                walk_llc_hits += 1
-                                walk_cycles += walk_llc_hit_cost
-                            else:
-                                walk_cycles += walk_cost[out_nodes[j]]
-                            if out_levels[j] > 1:
-                                mmu_insert(va, registry[out_pfns[j]])
-                        tlb_insert(va, translation)
-                    else:
-                        walk_start = walk_cycles
-                        tb_levels = tracebuf.l_levels
-                        tb_nodes = tracebuf.l_nodes
-                        tb_hits = tracebuf.l_hits
-                        tb_costs = tracebuf.l_costs
-                        for j in range(n_levels):
-                            hit = llc_access(out_lines[j])
-                            if hit and j == last and pollution_rolls[i]:
-                                hit = False
-                            if hit:
-                                walk_llc_hits += 1
-                                cost = walk_llc_hit_cost
-                            else:
-                                cost = walk_cost[out_nodes[j]]
-                            walk_cycles += cost
-                            tb_levels.append(out_levels[j])
+                    walk_start = walk_cycles
+                    for j in range(n_levels):
+                        # LLC probe of the fetched PTE line.
+                        line = out_lines[j]
+                        if line in llc_lines:
+                            llc_lines.move_to_end(line)
+                            llc_stats.hits += 1
+                            # A polluted leaf: data traffic evicted this
+                            # PTE line since the last walk that used it.
+                            hit = j != last or not pollution_rolls[i]
+                        else:
+                            llc_stats.misses += 1
+                            if len(llc_lines) >= llc_capacity:
+                                llc_lines.popitem(last=False)
+                            llc_lines[line] = None
+                            hit = False
+                        if hit:
+                            walk_llc_hits += 1
+                            cost = walk_llc_hit_cost
+                        else:
+                            cost = walk_cost[out_nodes[j]]
+                        walk_cycles += cost
+                        level = out_levels[j]
+                        if tracebuf is not None:
+                            tb_levels.append(level)
                             tb_nodes.append(out_nodes[j])
                             tb_hits.append(hit)
                             tb_costs.append(cost)
-                            if out_levels[j] > 1:
-                                mmu_insert(va, registry[out_pfns[j]])
-                        tlb_insert(va, translation)
+                        # PSC fill for every table below the root.
+                        if level > 1:
+                            plan = fill_plan[level]
+                            if plan is not None:
+                                cache, capacity, shift = plan
+                                tag = va >> shift
+                                if tag in cache:
+                                    cache.move_to_end(tag)
+                                elif len(cache) >= capacity:
+                                    cache.popitem(last=False)
+                                    psc_stats.evictions += 1
+                                cache[tag] = registry[out_pfns[j]]
+                    # L1 + L2 TLB fill and the translation-cache stamp.
+                    (
+                        f_sets1, f_n1, f_ways1, f_st1,
+                        f_sets2, f_n2, f_ways2, f_st2,
+                        f_xlate, f_shift,
+                    ) = fill_2m if translation.level == HUGE_LEAF_LEVEL else fill_4k
+                    key = va >> f_shift
+                    entry_set = f_sets1[key % f_n1]
+                    if key in entry_set:
+                        entry_set.move_to_end(key)
+                    elif len(entry_set) >= f_ways1:
+                        entry_set.popitem(last=False)
+                        f_st1.evictions += 1
+                    entry_set[key] = translation
+                    entry_set = f_sets2[key % f_n2]
+                    if key in entry_set:
+                        entry_set.move_to_end(key)
+                    elif len(entry_set) >= f_ways2:
+                        entry_set.popitem(last=False)
+                        f_st2.evictions += 1
+                    entry_set[key] = translation
+                    f_xlate[key] = (translation.pfn, tlb.generation)
+                    if tracebuf is not None:
                         tracebuf.walk(va, faulted, walk_cycles - walk_start, n_levels)
                     walk_refs += n_levels
             # -- the data access itself ----------------------------------------

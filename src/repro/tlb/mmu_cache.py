@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.paging.levels import level_shift
+from repro.paging.levels import MAX_ROOT_LEVEL, level_shift
 from repro.paging.pagetable import PageTablePage
 
 
@@ -48,45 +48,63 @@ class MmuCacheStats:
 
 
 class MmuCaches:
-    """One core's paging-structure caches."""
+    """One core's paging-structure caches.
+
+    The deepest-first probe plan and the per-level fill plan are built
+    once here; :meth:`lookup`, :meth:`insert` and the batched escape tier
+    (:mod:`repro.sim.escape`, which inlines both) all read them.
+    """
 
     def __init__(self, config: MmuCacheConfig | None = None):
         self.config = config or MmuCacheConfig()
-        self._caches: dict[int, OrderedDict[int, PageTablePage]] = {
-            level: OrderedDict() for level in sorted(self.config.entries_per_level)
+        entries = self.config.entries_per_level
+        caches: dict[int, OrderedDict[int, PageTablePage]] = {
+            level: OrderedDict() for level in sorted(entries)
         }
+        #: ``(level, cache, tag_shift)`` per cached level, deepest
+        #: (smallest level) first.
+        self.probe_plan: tuple[tuple[int, OrderedDict[int, PageTablePage], int], ...] = tuple(
+            (level, cache, self._tag_shift(level)) for level, cache in caches.items()
+        )
+        #: Indexed by table level: ``(cache, capacity, tag_shift)``, or
+        #: ``None`` where that level is not cached (e.g. the root).
+        self.fill_plan: tuple[tuple[OrderedDict[int, PageTablePage], int, int] | None, ...] = tuple(
+            (caches[level], entries[level], self._tag_shift(level)) if level in caches else None
+            for level in range(max((*entries, MAX_ROOT_LEVEL)) + 1)
+        )
         self.stats = MmuCacheStats()
 
     @staticmethod
-    def _tag(va: int, level: int) -> int:
-        """The VA bits that selected a level-``level`` table page: everything
-        above that table's span (one table at level L spans
-        ``512 * level_span(L)`` bytes)."""
-        return va >> (level_shift(level) + 9)
+    def _tag_shift(level: int) -> int:
+        """Shift that leaves the VA bits which selected a level-``level``
+        table page: everything above that table's span (one table at
+        level L spans ``512 * level_span(L)`` bytes)."""
+        return level_shift(level) + 9
 
     def lookup(self, va: int) -> tuple[PageTablePage, int] | None:
         """Deepest cached starting point for a walk of ``va``.
 
         Returns ``(table_page, level)`` or ``None`` (start from CR3).
         """
-        self.stats.lookups += 1
-        for level in sorted(self._caches):  # deepest (smallest level) first
-            cache = self._caches[level]
-            tag = self._tag(va, level)
+        stats = self.stats
+        stats.lookups += 1
+        for level, cache, shift in self.probe_plan:
+            tag = va >> shift
             page = cache.get(tag)
             if page is not None:
                 cache.move_to_end(tag)
-                self.stats.hits_at_level[level] = self.stats.hits_at_level.get(level, 0) + 1
+                hits = stats.hits_at_level
+                hits[level] = hits.get(level, 0) + 1
                 return page, level
         return None
 
     def insert(self, va: int, page: PageTablePage) -> None:
         """Remember that ``va``-prefixed walks may start at ``page``."""
-        cache = self._caches.get(page.level)
-        if cache is None:
+        plan = self.fill_plan[page.level]
+        if plan is None:
             return  # level not cached (e.g. the root in a 4-level walk)
-        capacity = self.config.entries_per_level[page.level]
-        tag = self._tag(va, page.level)
+        cache, capacity, shift = plan
+        tag = va >> shift
         if tag in cache:
             cache.move_to_end(tag)
             cache[tag] = page
@@ -98,5 +116,5 @@ class MmuCaches:
 
     def flush(self) -> None:
         """Drop everything (context switch / shootdown)."""
-        for cache in self._caches.values():
+        for _level, cache, _shift in self.probe_plan:
             cache.clear()

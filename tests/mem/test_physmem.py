@@ -5,7 +5,7 @@ import pytest
 from repro.errors import OutOfMemoryError, TopologyError
 from repro.mem.frame import FrameKind
 from repro.mem.physmem import PhysicalMemory
-from repro.machine.topology import Machine
+from repro.machine.topology import Machine, Socket
 from repro.units import MIB, PAGE_SIZE
 
 
@@ -19,6 +19,26 @@ class TestNodePartition:
     def test_node_of_pfn_rejects_out_of_range(self, physmem2):
         with pytest.raises(TopologyError):
             physmem2.node_of_pfn(10**9)
+
+    def test_node_boundaries_on_unequal_nodes(self):
+        # Unequal capacities, so every boundary sits at a different PFN.
+        sizes = (4 * MIB, 12 * MIB, 2 * MIB, 8 * MIB)
+        machine = Machine(
+            sockets=tuple(
+                Socket(socket_id=i, n_cores=1, memory_bytes=size)
+                for i, size in enumerate(sizes)
+            )
+        )
+        physmem = PhysicalMemory(machine)
+        first = 0
+        for node, size in enumerate(sizes):
+            last = first + size // PAGE_SIZE - 1
+            assert physmem.node_of_pfn(first) == node
+            assert physmem.node_of_pfn(last) == node
+            first = last + 1
+        for outside in (-1, first):
+            with pytest.raises(TopologyError):
+                physmem.node_of_pfn(outside)
 
 
 class TestAllocation:

@@ -9,15 +9,26 @@ identically-built scenarios and compare the full metrics surface.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import repro.sim.engine as engine_module
+from repro.cache.llc import SocketLlc
 from repro.inject.plan import FaultPlan, install_fault_plan
+from repro.kernel.kernel import Kernel
+from repro.kernel.sysctl import MitosisMode, Sysctl
+from repro.machine.topology import Machine
 from repro.sim.bench import RUN_FIELDS, THREAD_FIELDS
 from repro.sim.engine import EngineConfig, Simulator, _chain_sum
 from repro.sim.scenario import run_migration, run_multisocket, setup_migration, setup_multisocket
+from repro.tlb.mmu_cache import MmuCacheConfig
+from repro.tlb.tlb import TlbConfig
 from repro.trace.session import TraceSession, start_tracing, stop_tracing
-from repro.units import MIB
+from repro.units import GIB, KIB, MIB, PAGE_SIZE
+from repro.workloads.base import Workload, WorkloadProfile
 
 FOOTPRINT = 16 * MIB
 
@@ -204,6 +215,181 @@ class TestCombinedEscapeMatrix:
         vector, _ = self._run_migrated("vector")
         assert sum(t.faults for t in scalar.threads) > 0
         assert_metrics_identical(scalar, vector)
+
+
+def machine_state(kernel, llcs) -> dict:
+    """Every piece of translation-hardware state a run leaves behind.
+
+    Per core: each TLB structure's sets (keys in LRU order, with their
+    translations) and stats, the hierarchy totals, the generation, the
+    translation-cache records (in insertion order), each PSC level's tags
+    in LRU order with the table PFNs they point at, and the PSC stats.
+    Per socket: the LLC's page-table lines in LRU order and its stats.
+    """
+    cores = []
+    for tlb, mmu in kernel.cpu_contexts:
+        cores.append({
+            "tlb": {
+                structure.name: (
+                    [list(entry_set.items()) for entry_set in structure._sets],
+                    astuple(structure.stats),
+                )
+                for structure in (tlb.l1_4k, tlb.l1_2m, tlb.l2_4k, tlb.l2_2m)
+            },
+            "totals": (astuple(tlb.totals.l1), astuple(tlb.totals.l2), tlb.totals.walks),
+            "generation": tlb.generation,
+            "xlate_4k": list(tlb._xlate_4k.items()),
+            "xlate_2m": list(tlb._xlate_2m.items()),
+            "psc": [
+                (level, [(tag, page.pfn) for tag, page in cache.items()])
+                for level, cache, _shift in mmu.probe_plan
+            ],
+            "psc_stats": (
+                mmu.stats.lookups,
+                list(mmu.stats.hits_at_level.items()),
+                mmu.stats.evictions,
+            ),
+        })
+    sockets = [(list(llc._lines), astuple(llc.stats)) for llc in llcs]
+    return {"cores": cores, "llcs": sockets}
+
+
+#: Geometries small enough that TLB sets and the page-table LLC run at
+#: capacity. The PSC evicts too once a hot set spans more 1 GiB windows
+#: than it has level-2 entries (``_sparse_setup``).
+TINY_TLB = TlbConfig(
+    l1_entries=8, l1_ways=2, l1_huge_entries=2, l1_huge_ways=2,
+    l2_entries=32, l2_ways=4, l2_huge_entries=4, l2_huge_ways=2,
+)
+TINY_PSC = MmuCacheConfig(entries_per_level={1: 2, 2: 2, 3: 1})
+TINY_LLC = 2 * KIB
+
+
+class _SparseWorkload(Workload):
+    """A hot set of 48 pages scattered over a 4 GiB mapping."""
+
+    profile = WorkloadProfile(
+        name="sparse", description="scattered hot set", mlp=2.0,
+        data_llc_hit_rate=0.3, pt_llc_pressure=0.2, write_fraction=0.3,
+    )
+
+    def offsets(self, thread, n_threads, count):
+        rng = self.rng(thread)
+        hot = rng.integers(0, self.n_pages, size=48, dtype=np.int64)
+        return hot[rng.integers(0, hot.size, size=count)] * PAGE_SIZE
+
+
+def _sparse_setup():
+    """A replicated two-socket process whose pages are demand-faulted
+    during the run, spread over four 1 GiB PSC windows."""
+    machine = Machine.homogeneous(2, cores_per_socket=2, memory_per_socket=64 * MIB)
+    kernel = Kernel(machine, sysctl=Sysctl(mitosis_mode=MitosisMode.PER_PROCESS))
+    process = kernel.create_process("sparse", socket=0)
+    process.add_thread(1)
+    workload = _SparseWorkload(footprint=4 * GIB, seed=3)
+    va_base = kernel.sys_mmap(process, workload.footprint, name="sparse").value
+    kernel.mitosis.replicate_where_running(process)
+    return SimpleNamespace(kernel=kernel, process=process, workload=workload, va_base=va_base)
+
+
+class TestMachineStateIdentity:
+    """Metrics equality can hide a slip in the inlined miss path (an LRU
+    promotion out of order, a missed eviction count, a PSC fill at the
+    wrong level). After identical scalar and vector runs, every TLB set,
+    PSC level, translation-cache record and LLC line -- and their
+    stats -- must be identical too."""
+
+    def _run(self, engine, build, monkeypatch, traced=False, **config):
+        llcs: list[SocketLlc] = []
+
+        class RecordingLlc(SocketLlc):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                llcs.append(self)
+
+        monkeypatch.setattr(engine_module, "SocketLlc", RecordingLlc)
+        setup = build()
+        session = start_tracing(TraceSession(sinks=())) if traced else None
+        try:
+            metrics = run_setup(setup, engine_config(engine, **config))
+        finally:
+            if session is not None:
+                stop_tracing()
+        return metrics, machine_state(setup.kernel, llcs)
+
+    def _assert_identical(self, build, monkeypatch, traced=False, **config):
+        scalar, scalar_state = self._run("scalar", build, monkeypatch, traced, **config)
+        vector, vector_state = self._run("vector", build, monkeypatch, traced, **config)
+        assert_metrics_identical(scalar, vector)
+        assert scalar_state["llcs"] == vector_state["llcs"]
+        assert len(scalar_state["cores"]) == len(vector_state["cores"])
+        for core, (s, v) in enumerate(zip(scalar_state["cores"], vector_state["cores"])):
+            for key in s:
+                assert s[key] == v[key], f"core {core}: {key} differs"
+        return scalar, scalar_state
+
+    def test_tiny_geometries_force_evictions(self, monkeypatch):
+        # AutoNUMA epochs flush every TLB in between, so later fills stamp
+        # a non-zero generation into the translation-cache records.
+        build = lambda: setup_multisocket("memcached", "F-A", footprint=FOOTPRINT, n_sockets=2)
+        _, state = self._assert_identical(
+            build, monkeypatch, tlb=TINY_TLB, mmu=TINY_PSC, pt_llc_bytes=TINY_LLC,
+            autonuma_epochs=4,
+        )
+        core = state["cores"][0]
+        assert core["generation"] > 0
+        assert any(gen == core["generation"] for _pfn, gen in dict(core["xlate_4k"]).values())
+        assert core["tlb"]["l1-4k"][1][2] > 0  # L1 evictions
+        assert core["tlb"]["l2-4k"][1][2] > 0  # L2 evictions
+        assert core["psc_stats"][1]  # PSC hits
+        line_count = len(state["llcs"][0][0])
+        assert line_count == TINY_LLC // 64  # LLC at capacity
+
+    def test_sparse_mapping_evicts_psc(self, monkeypatch):
+        # A 16 MiB footprint sits in one 1 GiB window, so one level-2 PSC
+        # tag covers it; a hot set scattered over 4 GiB needs four.
+        _, state = self._assert_identical(
+            _sparse_setup, monkeypatch, tlb=TINY_TLB, mmu=TINY_PSC, pt_llc_bytes=TINY_LLC,
+        )
+        for core in state["cores"]:
+            lookups, hits, evictions = core["psc_stats"]
+            assert evictions > 0
+            assert dict(hits)[2] > 0
+
+    def test_thp_huge_structures(self, monkeypatch):
+        build = lambda: setup_multisocket(
+            "gups", "F+M", thp=True, footprint=FOOTPRINT, n_sockets=2
+        )
+        _, state = self._assert_identical(
+            build, monkeypatch, tlb=TINY_TLB, mmu=TINY_PSC, pt_llc_bytes=TINY_LLC,
+        )
+        core = state["cores"][0]
+        assert core["xlate_2m"]
+        assert core["tlb"]["l1-2m"][1][2] > 0  # huge L1 evictions
+        assert core["tlb"]["l2-2m"][1][2] > 0  # huge L2 evictions
+
+    def test_swap_faults_with_stalls(self, monkeypatch):
+        def build():
+            setup = setup_migration("redis", "LP-RD", footprint=FOOTPRINT)
+            plan = FaultPlan(seed=5)
+            plan.swap_stall(probability=0.5)
+            install_fault_plan(setup.kernel, plan)
+            setup.kernel.swap.reclaim(setup.process, target_pages=256)
+            return setup
+
+        metrics, _ = self._assert_identical(
+            build, monkeypatch, mmu=TINY_PSC, pt_llc_bytes=TINY_LLC,
+        )
+        assert sum(t.faults for t in metrics.threads) > 0
+        assert metrics.faults_injected > 0
+
+    def test_live_trace_session(self, monkeypatch):
+        build = lambda: setup_multisocket("redis", "F+M", footprint=FOOTPRINT, n_sockets=2)
+        metrics, _ = self._assert_identical(
+            build, monkeypatch, traced=True, tlb=TINY_TLB, mmu=TINY_PSC,
+            pt_llc_bytes=TINY_LLC,
+        )
+        assert metrics.escape_counts["trace"] > 0
 
 
 class TestTraceStreamIdentity:

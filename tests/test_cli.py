@@ -446,3 +446,49 @@ class TestLint:
         code, out, _ = run(capsys, "lint", str(bad), "--baseline", str(baseline))
         assert code == 0
         assert "1 baselined" in out
+
+
+class TestPerfReportFile:
+    """``perf --json`` prints the report instead of writing it: a file
+    appears only when ``--out`` names one, so a reduced-scale run never
+    overwrites the committed ``BENCH_*.json``."""
+
+    ARGS = ("perf", "--accesses", "300", "--repeat", "1", "--scenario", "redis-faults")
+
+    def test_json_writes_no_default_file(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *self.ARGS, "--json")
+        assert code == 0
+        assert json.loads(out)["scenarios"]["redis-faults"]["metrics_equal"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_with_out_writes_that_file(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *self.ARGS, "--json", "--out", "report.json")
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert json.loads((tmp_path / "report.json").read_text()) == json.loads(out)
+
+    def test_table_mode_still_writes_default_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0
+        assert "report written to BENCH_engine.json" in out
+        assert (tmp_path / "BENCH_engine.json").is_file()
+
+    def test_fleet_json_writes_no_default_file(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        import repro.fleet.bench
+
+        report = {"schema": "repro-bench-fleet/2"}
+        monkeypatch.setattr(repro.fleet.bench, "run_fleet_bench", lambda **_: report)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "perf", "--fleet", "--json")
+        assert code == 0
+        assert json.loads(out) == report
+        assert list(tmp_path.iterdir()) == []
